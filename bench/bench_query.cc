@@ -1,26 +1,26 @@
-// Measures what the sharded registry + per-shard result cache buy on the
-// serving path (docs/BENCHMARKS.md):
+// Measures the serving path's query cost on the sharded registry
+// (docs/BENCHMARKS.md):
 //
-//   1. per-query latency: uncached compute vs cache miss (compute+insert)
-//      vs cache hit, under a cheap scheme (TCM, O(1) label compare) and an
-//      expensive one (BFS, per-query graph search) — the hit row should
-//      undercut BFS compute by orders of magnitude and stay competitive
-//      even with TCM;
-//   2. the cache hit rate on a repeated-query workload (a bounded working
-//      set swept many times), the >90% regime the acceptance bar names;
+//   1. per-query latency (mean and p99) of Reaches, and per-pair cost of
+//      ReachesBatch, under a cheap scheme (TCM, O(1) label compare) and an
+//      expensive one (BFS, per-query graph search);
+//   2. the batch label-compare kernel over the store's columnar labels vs
+//      an array-of-structs twin;
 //   3. multi-reader throughput at 1/2/4/8 threads with the registry fully
 //      contended (--shards=1: every run on one lock) vs striped
 //      (16 shards) — the lock-contention spread only shows on multi-core
 //      hardware (the trailer prints the thread count available).
 //
-// Knobs (environment, like every bench here): SKL_BENCH_CACHE_QUERIES,
-// SKL_BENCH_CACHE_SIZE, SKL_BENCH_CACHE_WORKING_SET,
-// SKL_BENCH_CACHE_MAX_THREADS. SKL_BENCH_JSON=<path> writes the key
-// metrics for the CI bench-results artifact.
+// Knobs (environment, like every bench here): SKL_BENCH_QUERY_QUERIES,
+// SKL_BENCH_QUERY_SIZE, SKL_BENCH_QUERY_MAX_THREADS. SKL_BENCH_JSON=<path>
+// writes the key metrics for the CI bench-results artifact.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -41,10 +41,9 @@ uint32_t EnvU32(const char* name, uint32_t fallback) {
 }
 
 ProvenanceService MakeService(const Specification& spec, SpecSchemeKind kind,
-                              size_t num_shards, size_t cache_slots) {
-  auto service = ProvenanceService::Create(
-      Specification(spec), kind,
-      {.num_shards = num_shards, .cache_slots = cache_slots});
+                              size_t num_shards) {
+  auto service = ProvenanceService::Create(Specification(spec), kind,
+                                           {.num_shards = num_shards});
   SKL_CHECK_MSG(service.ok(), service.status().ToString().c_str());
   return std::move(service).value();
 }
@@ -53,15 +52,13 @@ double NsPerQuery(double seconds, size_t queries) {
   return queries == 0 ? 0.0 : seconds * 1e9 / static_cast<double>(queries);
 }
 
-/// Sweeps the query set `rounds` times; returns elapsed seconds.
+/// Sweeps the query set once; returns elapsed seconds.
 double Sweep(const ProvenanceService& service, RunId id,
-             const std::vector<VertexPair>& queries, size_t rounds) {
+             const std::vector<VertexPair>& queries) {
   Stopwatch sw;
-  for (size_t r = 0; r < rounds; ++r) {
-    for (const auto& [v, w] : queries) {
-      auto answer = service.Reaches(id, v, w);
-      SKL_CHECK(answer.ok());
-    }
+  for (const auto& [v, w] : queries) {
+    auto answer = service.Reaches(id, v, w);
+    SKL_CHECK(answer.ok());
   }
   return sw.ElapsedSeconds();
 }
@@ -91,96 +88,65 @@ int main() {
   using namespace skl;         // NOLINT: bench brevity
   using namespace skl::bench;  // NOLINT
 
-  const uint32_t run_size = EnvU32("SKL_BENCH_CACHE_SIZE", 2000);
-  const uint32_t total_queries = EnvU32("SKL_BENCH_CACHE_QUERIES", 200000);
-  const uint32_t working_set = EnvU32("SKL_BENCH_CACHE_WORKING_SET", 1024);
-  const uint32_t max_threads = EnvU32("SKL_BENCH_CACHE_MAX_THREADS", 8);
-  const size_t rounds =
-      std::max<size_t>(1, total_queries / std::max<uint32_t>(1, working_set));
+  const uint32_t run_size = EnvU32("SKL_BENCH_QUERY_SIZE", 2000);
+  const uint32_t total_queries = EnvU32("SKL_BENCH_QUERY_QUERIES", 200000);
+  const uint32_t max_threads = EnvU32("SKL_BENCH_QUERY_MAX_THREADS", 8);
 
-  JsonReporter json("bench_query_cache");
+  JsonReporter json("bench_query");
   const Specification spec = SyntheticSpec();
   const GeneratedRun generated = MakeRun(spec, run_size, /*seed=*/7);
   const VertexId n = generated.run.num_vertices();
 
-  // ------------------------------------------ 1. hit / miss / uncached ns --
-  PrintHeader("query cache: per-query latency (ns)");
-  std::printf("%-8s %14s %14s %14s %10s\n", "scheme", "uncached", "miss",
-              "hit", "hit rate");
-  for (SpecSchemeKind kind : {SpecSchemeKind::kTcm, SpecSchemeKind::kBfs}) {
+  // ------------------------------------------------ 1. per-query latency --
+  PrintHeader("Reaches: per-query latency (ns)");
+  std::printf("%-8s %14s %14s %14s\n", "scheme", "mean", "p99",
+              "batch/pair");
+  for (const auto& [kind, key] :
+       {std::pair{SpecSchemeKind::kTcm, "tcm"},
+        std::pair{SpecSchemeKind::kBfs, "bfs"}}) {
     const std::string name = SpecSchemeKindName(kind);
-    ProvenanceService uncached = MakeService(spec, kind, 8, 0);
-    ProvenanceService cached = MakeService(spec, kind, 8, 1 << 15);
-    auto uncached_id = uncached.AddRun(generated.run);
-    auto cached_id = cached.AddRun(generated.run);
-    SKL_CHECK(uncached_id.ok() && cached_id.ok());
-    const std::vector<VertexPair> queries =
-        GenerateQueries(n, working_set, /*seed=*/17);
-
-    const double uncached_ns = NsPerQuery(
-        Sweep(uncached, *uncached_id, queries, rounds),
-        queries.size() * rounds);
-    // Cold pass: every probe misses, computes and inserts.
-    const double miss_ns = NsPerQuery(
-        Sweep(cached, *cached_id, queries, 1), queries.size());
-    // Warm passes: everything hits (the working set fits the cache).
-    const double hit_ns = NsPerQuery(
-        Sweep(cached, *cached_id, queries, rounds), queries.size() * rounds);
-    const ServiceStats stats = cached.service_stats();
-    const double hit_rate =
-        100.0 * static_cast<double>(stats.cache_hits) /
-        static_cast<double>(stats.cache_hits + stats.cache_misses);
-    // Hit-latency distribution (everything is warm by now): quantiles via
-    // the production histogram rather than a private sort.
-    LatencyHistogram hit_hist;
-    SweepRecording(cached, *cached_id, queries, hit_hist);
-    const double hit_p99_ns = hit_hist.Quantile(0.99);
-    std::printf("%-8s %14.1f %14.1f %14.1f %9.1f%%   (hit p99 %.0f ns)\n",
-                name.c_str(), uncached_ns, miss_ns, hit_ns, hit_rate,
-                hit_p99_ns);
-    json.Add(name + "_uncached_ns", uncached_ns, "ns/query");
-    json.Add(name + "_miss_ns", miss_ns, "ns/query");
-    json.Add(name + "_hit_ns", hit_ns, "ns/query");
-    json.Add(name + "_hit_p99_ns", hit_p99_ns, "ns/query");
-    if (kind == SpecSchemeKind::kTcm) {
-      // The bench-compare CI gate's serving-latency key
-      // (tools/bench_compare.py; docs/BENCHMARKS.md).
-      json.Add("query_cache_hit_ns", hit_ns, "ns/query");
-    }
-  }
-
-  // --------------------------------- 2. repeated-query workload hit rate --
-  {
-    ProvenanceService service = MakeService(spec, SpecSchemeKind::kTcm, 8,
-                                            1 << 15);
+    ProvenanceService service = MakeService(spec, kind, 8);
     auto id = service.AddRun(generated.run);
     SKL_CHECK(id.ok());
     const std::vector<VertexPair> queries =
-        GenerateQueries(n, working_set, /*seed=*/29);
-    Sweep(service, *id, queries, rounds);
-    const ServiceStats stats = service.service_stats();
-    const double hit_rate =
-        100.0 * static_cast<double>(stats.cache_hits) /
-        static_cast<double>(stats.cache_hits + stats.cache_misses);
-    PrintHeader("repeated-query workload");
-    std::printf("working set %u pairs, %zu sweeps: hit rate %.1f%% "
-                "(%llu hits / %llu lookups)\n",
-                working_set, rounds, hit_rate,
-                static_cast<unsigned long long>(stats.cache_hits),
-                static_cast<unsigned long long>(stats.cache_hits +
-                                                stats.cache_misses));
-    json.Add("repeat_workload_hit_rate_pct", hit_rate, "%");
+        GenerateQueries(n, total_queries, /*seed=*/17);
+    const double mean_ns =
+        NsPerQuery(Sweep(service, *id, queries), queries.size());
+    // Latency distribution via the production histogram rather than a
+    // private sort.
+    LatencyHistogram hist;
+    SweepRecording(service, *id, queries, hist);
+    const double p99_ns = hist.Quantile(0.99);
+    // The same pairs through ReachesBatch, in 4096-pair calls: one shard
+    // lock and one epoch check per call instead of per pair.
+    constexpr size_t kBatch = 4096;
+    Stopwatch sw;
+    for (size_t i = 0; i < queries.size(); i += kBatch) {
+      const size_t len = std::min(kBatch, queries.size() - i);
+      auto answers = service.ReachesBatch(
+          *id, std::span<const VertexPair>(queries.data() + i, len));
+      SKL_CHECK(answers.ok());
+    }
+    const double batch_ns = NsPerQuery(sw.ElapsedSeconds(), queries.size());
+    std::printf("%-8s %14.1f %14.0f %14.1f\n", name.c_str(), mean_ns, p99_ns,
+                batch_ns);
+    // query_tcm_ns is the bench-compare CI gate's serving-latency key
+    // (tools/bench_compare.py; docs/BENCHMARKS.md).
+    const std::string prefix = std::string("query_") + key;
+    json.Add(prefix + "_ns", mean_ns, "ns/query");
+    json.Add(prefix + "_p99_ns", p99_ns, "ns/query");
+    json.Add(prefix + "_batch_ns", batch_ns, "ns/pair");
   }
 
-  // ------------------- 2b. batch kernel: columnar vs AoS label storage --
+  // ----------------------- 2. batch kernel: columnar vs AoS label storage --
   {
     // The storage-layout before/after column: the same label-compare sweep
     // (every source vertex against a fixed target, the ReachesBatch inner
     // loop) over the store's flat columns vs an array-of-structs twin
     // materialized from them — the per-run heap-blob layout the columnar
-    // arena replaced. Store-level on purpose: no cache, no locks, just the
-    // memory layout under the decision kernel.
-    ProvenanceService service = MakeService(spec, SpecSchemeKind::kTcm, 8, 0);
+    // arena replaced. Store-level on purpose: no locks, just the memory
+    // layout under the decision kernel.
+    ProvenanceService service = MakeService(spec, SpecSchemeKind::kTcm, 8);
     auto id = service.AddRun(generated.run);
     SKL_CHECK(id.ok());
     auto blob = service.ExportRun(*id);
@@ -233,7 +199,7 @@ int main() {
     int config = 0;
     for (size_t shards : {size_t{1}, size_t{16}}) {
       ProvenanceService service =
-          MakeService(spec, SpecSchemeKind::kTcm, shards, 1 << 15);
+          MakeService(spec, SpecSchemeKind::kTcm, shards);
       // One run per thread: with 16 shards the ids stripe over distinct
       // locks; with 1 shard every thread contends on the same one.
       std::vector<RunId> ids;
@@ -246,15 +212,13 @@ int main() {
       std::vector<std::vector<VertexPair>> thread_queries;
       for (uint32_t t = 0; t < threads; ++t) {
         thread_queries.push_back(
-            GenerateQueries(n, working_set, /*seed=*/100 + t));
+            GenerateQueries(n, per_thread, /*seed=*/100 + t));
       }
       Stopwatch sw;
       std::vector<std::thread> workers;
       for (uint32_t t = 0; t < threads; ++t) {
         workers.emplace_back([&, t] {
-          const std::vector<VertexPair>& qs = thread_queries[t];
-          for (size_t q = 0; q < per_thread; ++q) {
-            const auto& [v, w] = qs[q % qs.size()];
+          for (const auto& [v, w] : thread_queries[t]) {
             auto answer = service.Reaches(ids[t], v, w);
             SKL_CHECK(answer.ok());
           }

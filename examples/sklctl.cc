@@ -65,8 +65,7 @@
 // --threads=N (0 = one per hardware thread), --shards=N (registry lock
 // stripes, rounded up to a power of two) and ingest-dir --fail-fast
 // (all-or-nothing batch). load rejects --scheme: the scheme identity is
-// part of the snapshot. The remote stats subcommand also prints the
-// server's result-cache hit rate.
+// part of the snapshot.
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
@@ -579,8 +578,7 @@ int RemoteStats(ProvenanceClient& client, const std::vector<const char*>& args,
         "\"data_module_queries\": %llu, \"batch_calls\": %llu, "
         "\"runs_ingested\": %llu, \"runs_imported\": %llu, "
         "\"runs_removed\": %llu, \"bulk_batches\": %llu, "
-        "\"snapshot_saves\": %llu, \"cache_hits\": %llu, "
-        "\"cache_misses\": %llu, \"replication_lsn\": %llu, "
+        "\"snapshot_saves\": %llu, \"replication_lsn\": %llu, "
         "\"replication_target_lsn\": %llu, \"connections_open\": %llu, "
         "\"connections_accepted\": %llu, \"connections_timed_out\": %llu, "
         "\"connections_backpressured\": %llu, \"epoll_wakeups\": %llu, "
@@ -590,8 +588,7 @@ int RemoteStats(ProvenanceClient& client, const std::vector<const char*>& args,
         u(stats->data_module_queries), u(stats->batch_calls),
         u(stats->runs_ingested), u(stats->runs_imported),
         u(stats->runs_removed), u(stats->bulk_batches),
-        u(stats->snapshot_saves), u(stats->cache_hits),
-        u(stats->cache_misses), u(stats->replication_lsn),
+        u(stats->snapshot_saves), u(stats->replication_lsn),
         u(stats->replication_target_lsn), u(stats->connections_open),
         u(stats->connections_accepted), u(stats->connections_timed_out),
         u(stats->connections_backpressured), u(stats->epoll_wakeups),
@@ -609,16 +606,6 @@ int RemoteStats(ProvenanceClient& client, const std::vector<const char*>& args,
   std::printf("runs removed:         %llu\n", u(stats->runs_removed));
   std::printf("bulk batches:         %llu\n", u(stats->bulk_batches));
   std::printf("snapshot saves:       %llu\n", u(stats->snapshot_saves));
-  std::printf("cache hits:           %llu\n", u(stats->cache_hits));
-  std::printf("cache misses:         %llu\n", u(stats->cache_misses));
-  const uint64_t lookups = stats->cache_hits + stats->cache_misses;
-  if (lookups > 0) {
-    std::printf("cache hit rate:       %.1f%%\n",
-                100.0 * static_cast<double>(stats->cache_hits) /
-                    static_cast<double>(lookups));
-  } else {
-    std::printf("cache hit rate:       n/a (no cached lookups)\n");
-  }
   std::printf("replication lsn:      %llu\n", u(stats->replication_lsn));
   std::printf("replication lag:      %llu\n",
               u(stats->replication_target_lsn - stats->replication_lsn));

@@ -55,7 +55,7 @@ uint64_t SplitMix64(uint64_t* state);
 
 /// Stateless splitmix64 finalizer: full-avalanche mixing of one 64-bit
 /// value. The hash-distribution workhorse for sequential ids (registry
-/// shard selection, cache slot indexing), where unmixed low bits would
+/// shard selection, client retry jitter), where unmixed low bits would
 /// correlate with allocation order.
 uint64_t Mix64(uint64_t x);
 

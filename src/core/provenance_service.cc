@@ -88,34 +88,6 @@ Result<bool> StoreDataDependsOnModule(const ProvenanceStore& store,
                              store.label(store.item_writer(x)), scheme);
 }
 
-/// The one memoize shape behind every boolean query: probe the shard's
-/// cache under the read lock the caller already holds, recompute via
-/// `compute` on a miss, publish the answer stamped with the generation the
-/// caller saw. Stale stamps (a Remove/Import/swap bumped the shard since)
-/// can never hit, so a cached answer is always exactly what the recompute
-/// would produce — the property tests/query_cache_test.cc proves
-/// differentially. Preconditions (record found, ids in range) are the
-/// caller's; `compute` must not fail.
-template <typename Compute>
-bool Memoized(const RunRegistry::ReadHandle& handle, uint64_t run,
-              uint32_t src, uint32_t dst, QueryKind kind,
-              std::atomic<uint64_t>& hits, std::atomic<uint64_t>& misses,
-              const Compute& compute) {
-  QueryCache* cache = handle.cache();
-  if (cache == nullptr) return compute();
-  bool answer = false;
-  if (cache->Lookup(handle.generation(), run, src, dst, kind, &answer)) {
-    hits.fetch_add(1, std::memory_order_relaxed);
-    handle.shard_cache_hits()->fetch_add(1, std::memory_order_relaxed);
-    return answer;
-  }
-  misses.fetch_add(1, std::memory_order_relaxed);
-  handle.shard_cache_misses()->fetch_add(1, std::memory_order_relaxed);
-  answer = compute();
-  cache->Insert(handle.generation(), run, src, dst, kind, answer);
-  return answer;
-}
-
 }  // namespace
 
 ProvenanceService::ProvenanceService(
@@ -126,9 +98,7 @@ ProvenanceService::ProvenanceService(
       epoch_mu_(std::make_unique<std::mutex>()),
       options_(options),
       counters_(std::make_unique<Counters>()),
-      registry_(std::make_unique<RunRegistry>(RunRegistry::Options{
-          .num_shards = options.num_shards,
-          .cache_slots = options.cache_slots})),
+      registry_(std::make_unique<RunRegistry>(options.num_shards)),
       metrics_(std::make_unique<MetricsRegistry>()),
       pool_mu_(std::make_unique<std::mutex>()) {
   // Only a scheme whose name round-trips through the kind parser can be
@@ -165,23 +135,6 @@ void ProvenanceService::RegisterServiceMetrics() {
         const SpecEpoch* entry = head->load(std::memory_order_acquire);
         return entry != nullptr ? entry->number : 0;
       });
-  // Per-shard cache tallies as callback gauges: the shards already keep
-  // relaxed atomics (bumped on the query path), so scrape time just reads
-  // them. The captured registry address is stable — it sits behind a
-  // unique_ptr in this movable service.
-  const RunRegistry* reg = registry_.get();
-  for (size_t s = 0; s < reg->num_shards(); ++s) {
-    metrics_->AddCallbackGauge(
-        "skl_cache_shard_hits", "Query-cache hits served by this shard",
-        "shard=\"" + std::to_string(s) + "\"",
-        [reg, s] { return reg->shard_cache_hits(s); });
-  }
-  for (size_t s = 0; s < reg->num_shards(); ++s) {
-    metrics_->AddCallbackGauge(
-        "skl_cache_shard_misses", "Query-cache misses taken by this shard",
-        "shard=\"" + std::to_string(s) + "\"",
-        [reg, s] { return reg->shard_cache_misses(s); });
-  }
 }
 
 size_t ProvenanceService::shard_of(RunId id) const {
@@ -276,7 +229,7 @@ RunRecord ProvenanceService::CaptureRecord(const RunLabeling& labeling,
   return record;
 }
 
-Result<RunId> ProvenanceService::Publish(RunRecord record, bool invalidate) {
+Result<RunId> ProvenanceService::Publish(RunRecord record) {
   LogOp op;
   if (oplog_ != nullptr) {
     // Serialize before the registry takes ownership of the record; the op
@@ -286,7 +239,7 @@ Result<RunId> ProvenanceService::Publish(RunRecord record, bool invalidate) {
     op.stats = record.stats;
     op.blob = record.store.Serialize();
   }
-  RunId id(registry_->Publish(std::move(record), invalidate));
+  RunId id(registry_->Publish(std::move(record)));
   counters_->runs_ingested.fetch_add(1, std::memory_order_relaxed);
   if (oplog_ != nullptr) {
     op.run_id = id.value();
@@ -550,11 +503,7 @@ Result<bool> ProvenanceService::Reaches(RunId id, VertexId v, VertexId w,
   }
   const SpecLabelingScheme& sch = SchemeFor(record, scheme());
   counters_->reaches_queries.fetch_add(1, std::memory_order_relaxed);
-  return Memoized(handle, id.value(), v, w,
-                  QueryKind::kReaches, counters_->cache_hits,
-                  counters_->cache_misses, [&] {
-                    return StoreReaches(record.store, v, w, sch);
-                  });
+  return StoreReaches(record.store, v, w, sch);
 }
 
 Result<std::vector<bool>> ProvenanceService::ReachesBatch(
@@ -564,8 +513,7 @@ Result<std::vector<bool>> ProvenanceService::ReachesBatch(
   SKL_RETURN_NOT_OK(CheckEpochPin(handle.record(), at_epoch));
   const VertexId n = handle.record().stats.num_vertices;
   // Validate the whole span first: a failing batch answers nothing and
-  // must touch no counter — including the cache lookup counters, which by
-  // contract only tally answered queries.
+  // must touch no counter.
   for (const auto& [v, w] : pairs) {
     if (v >= n || w >= n) {
       return Status::InvalidArgument("vertex out of range for run");
@@ -575,10 +523,7 @@ Result<std::vector<bool>> ProvenanceService::ReachesBatch(
   std::vector<bool> answers;
   answers.reserve(pairs.size());
   for (const auto& [v, w] : pairs) {
-    answers.push_back(Memoized(
-        handle, id.value(), v, w,
-        QueryKind::kReaches, counters_->cache_hits, counters_->cache_misses,
-        [&] { return StoreReaches(handle.record().store, v, w, sch); }));
+    answers.push_back(StoreReaches(handle.record().store, v, w, sch));
   }
   counters_->batch_calls.fetch_add(1, std::memory_order_relaxed);
   counters_->reaches_queries.fetch_add(pairs.size(),
@@ -598,12 +543,7 @@ Result<bool> ProvenanceService::DependsOn(RunId id, DataItemId x,
   }
   const SpecLabelingScheme& sch = SchemeFor(handle.record(), scheme());
   counters_->depends_on_queries.fetch_add(1, std::memory_order_relaxed);
-  return Memoized(handle, id.value(), x, x_from,
-                  QueryKind::kDependsOn, counters_->cache_hits,
-                  counters_->cache_misses, [&] {
-                    return *StoreDependsOn(handle.record().store, x, x_from,
-                                           sch);
-                  });
+  return StoreDependsOn(handle.record().store, x, x_from, sch);
 }
 
 Result<std::vector<bool>> ProvenanceService::DependsOnBatch(
@@ -613,7 +553,7 @@ Result<std::vector<bool>> ProvenanceService::DependsOnBatch(
   SKL_RETURN_NOT_OK(CheckEpochPin(handle.record(), at_epoch));
   const size_t items = handle.record().store.num_items();
   // Same discipline as ReachesBatch: all-or-nothing validation before any
-  // counter or cache traffic.
+  // counter traffic.
   for (const auto& [x, x_from] : pairs) {
     if (x >= items || x_from >= items) {
       return Status::InvalidArgument("unknown data item");
@@ -623,12 +563,8 @@ Result<std::vector<bool>> ProvenanceService::DependsOnBatch(
   std::vector<bool> answers;
   answers.reserve(pairs.size());
   for (const auto& [x, x_from] : pairs) {
-    answers.push_back(Memoized(
-        handle, id.value(), x, x_from,
-        QueryKind::kDependsOn, counters_->cache_hits,
-        counters_->cache_misses, [&] {
-          return *StoreDependsOn(handle.record().store, x, x_from, sch);
-        }));
+    answers.push_back(
+        *StoreDependsOn(handle.record().store, x, x_from, sch));
   }
   counters_->batch_calls.fetch_add(1, std::memory_order_relaxed);
   counters_->depends_on_queries.fetch_add(pairs.size(),
@@ -651,11 +587,7 @@ Result<bool> ProvenanceService::ModuleDependsOnData(RunId id, VertexId v,
   }
   const SpecLabelingScheme& sch = SchemeFor(record, scheme());
   counters_->module_data_queries.fetch_add(1, std::memory_order_relaxed);
-  return Memoized(handle, id.value(), v, x,
-                  QueryKind::kModuleData, counters_->cache_hits,
-                  counters_->cache_misses, [&] {
-                    return *StoreModuleDependsOnData(record.store, v, x, sch);
-                  });
+  return StoreModuleDependsOnData(record.store, v, x, sch);
 }
 
 Result<bool> ProvenanceService::DataDependsOnModule(RunId id, DataItemId x,
@@ -673,11 +605,7 @@ Result<bool> ProvenanceService::DataDependsOnModule(RunId id, DataItemId x,
   }
   const SpecLabelingScheme& sch = SchemeFor(record, scheme());
   counters_->data_module_queries.fetch_add(1, std::memory_order_relaxed);
-  return Memoized(handle, id.value(), x, v,
-                  QueryKind::kDataModule, counters_->cache_hits,
-                  counters_->cache_misses, [&] {
-                    return *StoreDataDependsOnModule(record.store, x, v, sch);
-                  });
+  return StoreDataDependsOnModule(record.store, x, v, sch);
 }
 
 Result<std::vector<uint8_t>> ProvenanceService::ExportRun(RunId id) const {
@@ -724,9 +652,7 @@ Result<RunId> ProvenanceService::ImportRun(
   record.scheme = at.scheme.get();
   record.store = std::move(store);
   counters_->runs_imported.fetch_add(1, std::memory_order_relaxed);
-  // Invalidate the target shard's cache: an import changes what the shard
-  // can answer, and generation-stamping makes that O(1).
-  return Publish(std::move(record), /*invalidate=*/true);
+  return Publish(std::move(record));
 }
 
 bool ProvenanceService::Contains(RunId id) const {
@@ -757,8 +683,6 @@ ServiceStats ProvenanceService::service_stats() const {
   stats.runs_removed = get(counters_->runs_removed);
   stats.bulk_batches = get(counters_->bulk_batches);
   stats.snapshot_saves = get(counters_->snapshot_saves);
-  stats.cache_hits = get(counters_->cache_hits);
-  stats.cache_misses = get(counters_->cache_misses);
   // Locally both fields report the attached log's head; the net server
   // substitutes a replica's applied/target pair before encoding.
   stats.replication_lsn = replication_lsn();

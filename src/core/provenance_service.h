@@ -41,9 +41,8 @@
 // Threading contract: every public method is safe to call concurrently.
 // The registry behind the service is sharded and lock-striped
 // (src/core/run_registry.h): a query locks only the one shard that owns
-// its run — shared, so readers never block each other — and each shard
-// memoizes answers in a generation-stamped QueryCache
-// (src/core/query_cache.h; Options::cache_slots sizes it, 0 disables).
+// its run — shared, so readers never block each other — and answers every
+// query straight from the run's labels; there is no result cache.
 // Ingestion does the expensive labeling outside any lock and takes one
 // shard's writer lock only to publish; queries on other shards proceed
 // entirely undisturbed, and queries on the same shard keep answering while
@@ -120,9 +119,7 @@ using ItemPair = std::pair<DataItemId, DataItemId>;
 /// the net server's kLoadSnapshot — starts counting afresh; see
 /// docs/NETWORK.md). Query counters tally *answered* queries — a NotFound
 /// or out-of-range request does not count as served. Batch calls count one
-/// per answered pair, plus one batch_calls tick per invocation. Cache
-/// counters tally result-cache lookups on answered queries (both stay 0
-/// when the cache is disabled via Options::cache_slots = 0).
+/// per answered pair, plus one batch_calls tick per invocation.
 struct ServiceStats {
   uint64_t num_runs = 0;             ///< currently registered (point in time)
   uint64_t reaches_queries = 0;      ///< Reaches + ReachesBatch pairs
@@ -135,8 +132,11 @@ struct ServiceStats {
   uint64_t runs_removed = 0;
   uint64_t bulk_batches = 0;         ///< AddRuns*Parallel invocations
   uint64_t snapshot_saves = 0;       ///< successful SaveSnapshot calls
-  uint64_t cache_hits = 0;           ///< result-cache hits
-  uint64_t cache_misses = 0;         ///< result-cache misses (computed)
+  /// cache_hits and cache_misses are always 0; the result cache was
+  /// removed. They stay so the kServiceStats reply keeps its layout
+  /// (docs/NETWORK.md).
+  uint64_t cache_hits = 0;
+  uint64_t cache_misses = 0;
   /// Replication state (docs/REPLICATION.md): the op-log LSN this service
   /// has durably appended (primary) or applied (replica). 0 when no op-log
   /// is attached. Over the wire the server fills both fields; a replica's
@@ -189,10 +189,6 @@ struct ProvenanceServiceOptions {
   /// clamped to [1, 1024]. More shards = less reader/writer contention;
   /// 1 reproduces the old single-lock behavior.
   size_t num_shards = 8;
-  /// Reachability result-cache slots per shard (rounded up to a power of
-  /// two, 32 bytes each). 0 disables caching — the configuration the
-  /// differential conformance test replays against.
-  size_t cache_slots = 4096;
   /// Forces ApplySpecDelta to rebuild the new epoch's scheme from scratch
   /// instead of relabeling the dirty region incrementally. The two paths
   /// must be bit-identical — the differential update harness
@@ -464,7 +460,7 @@ class ProvenanceService {
   const Options& options() const { return options_; }
 
   /// The service-level metrics registry (docs/OBSERVABILITY.md): the
-  /// labeling-time histogram and per-shard result-cache tallies. The net
+  /// labeling-time, relabel-time and spec-epoch series. The net
   /// server renders it into its kMetrics exposition. Like the ServiceStats
   /// counters, it describes this service object's lifetime — a snapshot
   /// load swaps in a fresh registry.
@@ -493,8 +489,6 @@ class ProvenanceService {
     std::atomic<uint64_t> runs_removed{0};
     std::atomic<uint64_t> bulk_batches{0};
     std::atomic<uint64_t> snapshot_saves{0};
-    std::atomic<uint64_t> cache_hits{0};
-    std::atomic<uint64_t> cache_misses{0};
   };
 
   ProvenanceService(std::unique_ptr<const Specification> spec,
@@ -531,8 +525,7 @@ class ProvenanceService {
   /// Publishes a record under a fresh id (takes one shard's writer lock),
   /// then appends the op to the attached op-log (if any) before returning
   /// — the append-before-ack half of the replication contract.
-  /// `invalidate` bumps the target shard's cache generation (ImportRun).
-  Result<RunId> Publish(RunRecord record, bool invalidate = false);
+  Result<RunId> Publish(RunRecord record);
 
   /// Captures a labeling (+ optional catalog) and publishes it under a new
   /// id. Validates the catalog against the labeling first.
@@ -558,11 +551,6 @@ class ProvenanceService {
                                  std::string_view scheme_name, VertexId n_g,
                                  ProvenanceService* service);
 
-  // The query methods memoize through the shard's QueryCache via one
-  // shared helper (Memoized, provenance_service.cc): probe under the read
-  // lock the ReadHandle holds, recompute on a miss, stamp with the
-  // handle's generation.
-
   // The append-only spec-epoch chain. Behind a unique_ptr so entry (and
   // container) addresses survive service moves: schemes hold a pointer to
   // their epoch's spec.graph(), sessions and run records to both. Reads go
@@ -578,9 +566,9 @@ class ProvenanceService {
   SpecSchemeKind scheme_kind_ = SpecSchemeKind::kTcm;
   Options options_;
 
-  /// Registers the labeling histogram and per-shard cache gauges on
-  /// metrics_ (constructor only; the gauges capture registry_'s address,
-  /// which unique_ptr keeps stable across service moves).
+  /// Registers the labeling/relabel histograms and the spec-epoch gauge on
+  /// metrics_ (constructor only; the gauge captures head_'s address, which
+  /// unique_ptr keeps stable across service moves).
   void RegisterServiceMetrics();
 
   std::unique_ptr<Counters> counters_;  // see Counters for the contract

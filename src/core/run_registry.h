@@ -1,33 +1,21 @@
 // Sharded, lock-striped run registry: the storage layer under
 // ProvenanceService. Runs are partitioned over N shards by a mixed hash of
 // their RunId; each shard owns its runs' ProvenanceStores and stats behind
-// its own std::shared_mutex, plus a bounded QueryCache of memoized answers.
-// A query therefore takes only its shard's *read* lock — two queries on
-// runs in different shards never touch the same mutex, which is what lets
-// multi-reader throughput scale past the single global lock the service
-// used to funnel everything through (bench/bench_query_cache.cc measures
-// the difference).
+// its own std::shared_mutex. A query therefore takes only its shard's
+// *read* lock — two queries on runs in different shards never touch the
+// same mutex, which is what lets multi-reader throughput scale past the
+// single global lock the service used to funnel everything through
+// (bench/bench_query.cc measures the difference).
 //
 //   shard = shards_[mix(id) & mask]          (mask = num_shards - 1)
 //
 //   ┌ Shard ──────────────────────────────────────────────┐
 //   │ shared_mutex mu                                     │
 //   │   runs:       id -> RunRecord        (guarded by mu)│
-//   │   generation: uint64                 (guarded by mu)│
-//   │   cache:      QueryCache             (lock-free)    │
 //   └─────────────────────────────────────────────────────┘
 //
-// Generations make invalidation O(1): every cached answer is stamped with
-// its shard's generation, and Remove / an invalidating Publish (ImportRun)
-// bump the generation under the shard's writer lock instead of scanning
-// the cache. A whole-service swap (LoadSnapshot) simply builds a fresh
-// registry, whose shards start at a fresh generation. (Strictly, exact-key
-// matching plus never-reused ids and immutable records already prevent a
-// removed run's entries from ever being served; the stamp is the layer
-// that keeps the cache sound under any future mutation shape, priced at
-// shard-wide eviction on remove/import — a deliberate trade of hit rate
-// under churn for an invalidation argument that needs no per-mutation
-// reasoning.)
+// There is no result cache in front of the records: a query decides from
+// two labels in O(1), so the labels already are the index.
 //
 // Cross-registry operations (ListIds, size, ForEach — the substrate of
 // ListRuns / ServiceStats / SaveSnapshot) compose per-shard snapshots by
@@ -53,7 +41,6 @@
 #include <vector>
 
 #include "src/core/provenance_store.h"
-#include "src/core/query_cache.h"
 
 namespace skl {
 
@@ -90,52 +77,30 @@ struct RunRecord {
 
 class RunRegistry {
  public:
-  /// Upper clamp on Options::num_shards (also the CLI's --shards bound).
+  /// Upper clamp on the shard count (also the CLI's --shards bound).
   static constexpr size_t kMaxShards = 1024;
 
-  struct Options {
-    /// Shard count; rounded up to a power of two, clamped to
-    /// [1, kMaxShards].
-    size_t num_shards = 8;
-    /// QueryCache slots per shard (rounded up to a power of two);
-    /// 0 disables result caching entirely.
-    size_t cache_slots = 4096;
-  };
+  /// `num_shards` is rounded up to a power of two and clamped to
+  /// [1, kMaxShards].
+  explicit RunRegistry(size_t num_shards);
 
-  explicit RunRegistry(const Options& options);
-
-  // Shards hold mutexes and atomics: the registry lives behind a
-  // unique_ptr in the (movable) service and never moves itself.
+  // Shards hold mutexes: the registry lives behind a unique_ptr in the
+  // (movable) service and never moves itself.
   RunRegistry(const RunRegistry&) = delete;
   RunRegistry& operator=(const RunRegistry&) = delete;
 
-  /// A shard read lock + everything a query needs: the record, the shard's
-  /// cache (null when caching is disabled) and the generation to stamp /
-  /// match cache entries with. Falsy when the id is unknown (the lock is
-  /// released immediately in that case).
+  /// A shard read lock + the record a query needs. Falsy when the id is
+  /// unknown (the lock is released immediately in that case).
   class ReadHandle {
    public:
     explicit operator bool() const { return record_ != nullptr; }
     const RunRecord& record() const { return *record_; }
-    QueryCache* cache() const { return cache_; }
-    uint64_t generation() const { return generation_; }
-    /// The owning shard's cache hit/miss tallies (docs/OBSERVABILITY.md);
-    /// the query path bumps them relaxed alongside the service-wide
-    /// counters. Null iff the handle is falsy.
-    std::atomic<uint64_t>* shard_cache_hits() const { return shard_hits_; }
-    std::atomic<uint64_t>* shard_cache_misses() const {
-      return shard_misses_;
-    }
 
    private:
     friend class RunRegistry;
     ReadHandle() = default;
     std::shared_lock<std::shared_mutex> lock_;
     const RunRecord* record_ = nullptr;
-    QueryCache* cache_ = nullptr;
-    uint64_t generation_ = 0;
-    std::atomic<uint64_t>* shard_hits_ = nullptr;
-    std::atomic<uint64_t>* shard_misses_ = nullptr;
   };
 
   /// Locks the owning shard shared and resolves the id. The handle keeps
@@ -144,18 +109,15 @@ class RunRegistry {
   ReadHandle AcquireRead(uint64_t id) const;
 
   /// Allocates the next id and inserts the record under its shard's writer
-  /// lock. `invalidate` additionally bumps the shard's generation (the
-  /// ImportRun contract: an imported blob's answers must never be
-  /// satisfied by entries cached before it existed).
-  uint64_t Publish(RunRecord record, bool invalidate = false);
+  /// lock.
+  uint64_t Publish(RunRecord record);
 
   /// Bulk publish: allocates a contiguous ascending id block (so ids
   /// mirror batch order), then inserts grouped by shard — each shard's
   /// writer lock is taken exactly once per batch.
   std::vector<uint64_t> PublishBatch(std::vector<RunRecord> records);
 
-  /// Removes a run and bumps its shard's generation (O(1) invalidation of
-  /// every cached answer that could mention it). False if unknown.
+  /// Removes a run. False if unknown.
   bool Remove(uint64_t id);
 
   bool Contains(uint64_t id) const;
@@ -204,35 +166,15 @@ class RunRegistry {
   }
 
   size_t num_shards() const { return shard_mask_ + 1; }
-  size_t cache_slots_per_shard() const { return cache_slots_; }
 
   /// Which shard owns `id` — the label the observability layer stamps on
-  /// per-shard series and slow-query entries.
+  /// slow-query entries.
   size_t ShardIndexFor(uint64_t id) const { return ShardIndexOf(id); }
-
-  /// Point-in-time per-shard cache tallies (shard < num_shards()); the
-  /// metrics exposition reads these at scrape time.
-  uint64_t shard_cache_hits(size_t shard) const {
-    return shards_[shard].cache_hits.load(std::memory_order_relaxed);
-  }
-  uint64_t shard_cache_misses(size_t shard) const {
-    return shards_[shard].cache_misses.load(std::memory_order_relaxed);
-  }
 
  private:
   struct Shard {
     mutable std::shared_mutex mu;
     std::map<uint64_t, RunRecord> runs;  // guarded by mu
-    // Guarded by mu (bumped under unique, read under shared): the stamp
-    // cached answers must match. Starts at 1 so the zero-initialized
-    // cache slots can never satisfy a lookup.
-    uint64_t generation = 1;
-    std::unique_ptr<QueryCache> cache;  // null when caching is disabled
-    // Per-shard result-cache tallies, bumped relaxed by read-lock holders
-    // (not guarded by mu; the sum over shards tracks the service-wide
-    // cache_hits/cache_misses counters).
-    mutable std::atomic<uint64_t> cache_hits{0};
-    mutable std::atomic<uint64_t> cache_misses{0};
   };
 
   size_t ShardIndexOf(uint64_t id) const;
@@ -242,7 +184,6 @@ class RunRegistry {
   }
 
   size_t shard_mask_;
-  size_t cache_slots_;
   std::atomic<uint64_t> next_id_{1};
   std::unique_ptr<Shard[]> shards_;
 };

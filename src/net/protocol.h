@@ -45,7 +45,8 @@ namespace skl {
 /// outside [kMinSupportedProtocolVersion, kProtocolVersion] with a kError
 /// naming both versions (see docs/NETWORK.md).
 /// Version 2: the kServiceStats reply grew the result-cache counters
-/// (cache_hits, cache_misses) — 13 varints instead of 11.
+/// (cache_hits, cache_misses) — 13 varints instead of 11. The cache has
+/// since been removed; both fields are still sent, always 0.
 /// Version 3 (replication, docs/REPLICATION.md): read requests carry a
 /// trailing min-LSN token (read-your-writes; a lagging replica answers
 /// kRetryAt), mutating replies carry the op's ack LSN, kServiceStats gains

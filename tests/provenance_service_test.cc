@@ -12,8 +12,9 @@
 #include <vector>
 
 #include "src/common/temp_path.h"
+#include "src/core/plan_builder.h"
 #include "src/core/provenance_service.h"
-#include "src/core/skeleton_labeler.h"
+#include "src/graph/algorithms.h"
 #include "src/workload/data_generator.h"
 #include "src/workload/query_generator.h"
 #include "src/workload/run_generator.h"
@@ -38,18 +39,15 @@ Run MakeGeneratedRun(const Specification& spec, uint32_t target,
   return std::move(gen->run);
 }
 
-/// Reference answers via the low-level facade the service wraps.
-std::vector<std::vector<bool>> ReferenceMatrix(const Specification& spec,
-                                               const Run& run) {
-  SkeletonLabeler labeler(&spec, SpecSchemeKind::kTcm);
-  SKL_CHECK(labeler.Init().ok());
-  auto labeling = labeler.LabelRun(run);
-  SKL_CHECK_MSG(labeling.ok(), labeling.status().ToString().c_str());
+/// Reference answers from the definition the labels encode: reachability
+/// in the run graph (reflexive).
+std::vector<std::vector<bool>> ReferenceMatrix(const Run& run) {
   std::vector<std::vector<bool>> m(run.num_vertices());
   for (VertexId u = 0; u < run.num_vertices(); ++u) {
+    const DynamicBitset reachable = ReachableFrom(run.graph(), u);
     m[u].resize(run.num_vertices());
     for (VertexId v = 0; v < run.num_vertices(); ++v) {
-      m[u][v] = labeling->Reaches(u, v);
+      m[u][v] = reachable.Test(v);
     }
   }
   return m;
@@ -90,7 +88,7 @@ TEST(ProvenanceServiceTest, MultiRunRegistryIsolation) {
     runs.push_back(MakeGeneratedRun(spec, 40 + 20 * seed, seed));
   }
   std::vector<std::vector<std::vector<bool>>> expected;
-  for (const ::skl::Run& r : runs) expected.push_back(ReferenceMatrix(spec, r));
+  for (const ::skl::Run& r : runs) expected.push_back(ReferenceMatrix(r));
 
   auto service =
       ProvenanceService::Create(std::move(spec), SpecSchemeKind::kTcm);
@@ -374,7 +372,7 @@ TEST(ProvenanceServiceTest, AddRunsParallelPublishesInInputOrder) {
     runs.push_back(MakeGeneratedRun(spec, 30 + 25 * seed, seed));
   }
   std::vector<std::vector<std::vector<bool>>> expected;
-  for (const ::skl::Run& r : runs) expected.push_back(ReferenceMatrix(spec, r));
+  for (const ::skl::Run& r : runs) expected.push_back(ReferenceMatrix(r));
 
   ProvenanceService::Options options;
   options.num_threads = 4;
@@ -541,7 +539,9 @@ TEST(ProvenanceServiceTest, ServiceStatsResetAcrossLoadSnapshot) {
   EXPECT_EQ(before.runs_ingested, 1u);
   EXPECT_EQ(before.reaches_queries, 2u);
   EXPECT_EQ(before.snapshot_saves, 1u);
-  EXPECT_EQ(before.cache_hits + before.cache_misses, 2u);
+  // The result cache is gone; the two fields stay on the struct, always 0.
+  EXPECT_EQ(before.cache_hits, 0u);
+  EXPECT_EQ(before.cache_misses, 0u);
 
   auto restored = ProvenanceService::LoadSnapshot(path);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
@@ -568,46 +568,60 @@ TEST(ProvenanceServiceTest, ServiceStatsResetAcrossLoadSnapshot) {
   std::filesystem::remove(path, ec);
 }
 
-TEST(ProvenanceServiceTest, ShardedRegistryAndCacheAnswerIdentically) {
-  // Smoke for the Options knobs themselves: extreme shard counts (clamped)
-  // and cache on/off answer identically, and repeated queries on a cached
-  // service actually hit.
-  Specification spec = MakeSpec();
-  ::skl::Run run = MakeGeneratedRun(spec, 80, 5);
-  std::vector<std::vector<bool>> reference = ReferenceMatrix(spec, run);
-
-  for (size_t shards : {size_t{0}, size_t{1}, size_t{3}, size_t{64},
-                        size_t{100000}}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    auto service = ProvenanceService::Create(
-        Specification(spec), SpecSchemeKind::kTcm,
-        {.num_shards = shards, .cache_slots = 64});
-    ASSERT_TRUE(service.ok());
-    auto id = service->AddRun(run);
-    ASSERT_TRUE(id.ok());
+TEST(ProvenanceServiceTest, ShardedRegistryAnswersMatchReference) {
+  // Every scheme at extreme shard counts (0 and 100000 are clamped) answers
+  // Reaches and ReachesBatch as graph reachability does, before and after
+  // the run is removed and re-imported under a new id.
+  for (SpecSchemeKind kind :
+       {SpecSchemeKind::kTcm, SpecSchemeKind::kBfs, SpecSchemeKind::kDfs,
+        SpecSchemeKind::kInterval, SpecSchemeKind::kTreeCover,
+        SpecSchemeKind::kChain, SpecSchemeKind::kTwoHop}) {
+    const Specification spec = testing_util::MakeSpecFor(kind);
+    const ::skl::Run run = MakeGeneratedRun(spec, 80, 5);
+    const std::vector<std::vector<bool>> reference = ReferenceMatrix(run);
+    std::vector<VertexPair> pairs;
     for (VertexId u = 0; u < run.num_vertices(); u += 3) {
       for (VertexId v = 0; v < run.num_vertices(); v += 5) {
-        ASSERT_EQ(*service->Reaches(*id, u, v), reference[u][v]);
-        ASSERT_EQ(*service->Reaches(*id, u, v), reference[u][v]);  // cached
+        pairs.emplace_back(u, v);
       }
     }
-    const ServiceStats stats = service->service_stats();
-    EXPECT_GT(stats.cache_hits, 0u) << "repeat queries must hit";
-  }
+    for (size_t shards : {size_t{0}, size_t{1}, size_t{3}, size_t{64},
+                          size_t{100000}}) {
+      SCOPED_TRACE(std::string(SpecSchemeKindName(kind)) +
+                   " shards=" + std::to_string(shards));
+      auto service = ProvenanceService::Create(Specification(spec), kind,
+                                               {.num_shards = shards});
+      ASSERT_TRUE(service.ok()) << service.status().ToString();
+      auto added = service->AddRun(run);
+      ASSERT_TRUE(added.ok()) << added.status().ToString();
+      const auto expect_reference = [&](RunId id) {
+        for (const auto& [u, v] : pairs) {
+          ASSERT_EQ(*service->Reaches(id, u, v), reference[u][v])
+              << u << " -> " << v;
+        }
+        auto batch = service->ReachesBatch(id, pairs);
+        ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+        for (size_t i = 0; i < pairs.size(); ++i) {
+          ASSERT_EQ((*batch)[i],
+                    reference[pairs[i].first][pairs[i].second])
+              << "batch pair " << i;
+        }
+      };
+      expect_reference(*added);
 
-  // cache_slots = 0 disables caching entirely: same answers, zero lookups.
-  auto uncached = ProvenanceService::Create(
-      Specification(spec), SpecSchemeKind::kTcm, {.cache_slots = 0});
-  ASSERT_TRUE(uncached.ok());
-  auto id = uncached->AddRun(run);
-  ASSERT_TRUE(id.ok());
-  for (VertexId u = 0; u < run.num_vertices(); u += 3) {
-    ASSERT_EQ(*uncached->Reaches(*id, u, 0), reference[u][0]);
-    ASSERT_EQ(*uncached->Reaches(*id, u, 0), reference[u][0]);
+      auto blob = service->ExportRun(*added);
+      ASSERT_TRUE(blob.ok());
+      ASSERT_TRUE(service->RemoveRun(*added).ok());
+      auto imported = service->ImportRun(*blob);
+      ASSERT_TRUE(imported.ok()) << imported.status().ToString();
+      EXPECT_NE(*imported, *added);
+      EXPECT_EQ(service->Reaches(*added, 0, 0).status().code(),
+                StatusCode::kNotFound);
+      EXPECT_EQ(service->ReachesBatch(*added, pairs).status().code(),
+                StatusCode::kNotFound);
+      expect_reference(*imported);
+    }
   }
-  const ServiceStats stats = uncached->service_stats();
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.cache_misses, 0u);
 }
 
 TEST(ProvenanceServiceTest, ConcurrentBulkIngestWhileQuerying) {

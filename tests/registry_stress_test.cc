@@ -1,14 +1,14 @@
-// Concurrency stress for the sharded run registry and its per-shard result
-// cache, written to run under the CI ThreadSanitizer leg: 4 writer threads
-// (AddRun / ImportRun / RemoveRun churn) and 4 reader threads (single +
-// batch queries verified against precomputed answers) hammer one service,
+// Concurrency stress for the sharded run registry, written to run under
+// the CI ThreadSanitizer leg: 4 writer threads (AddRun / ImportRun /
+// RemoveRun churn) and 4 reader threads (single + batch queries verified
+// against precomputed answers) hammer one service,
 // first with every id colliding on a single shard, then striped over many
 // — while a swapper thread replaces the whole service with a
 // LoadSnapshot-restored one mid-flight, using exactly the shared_mutex
 // swap discipline of ProvenanceServer's kLoadSnapshot handler. Readers
 // must keep observing bit-identical answers for the stable runs across
 // the swap (the snapshot contains them with the same ids and labels), and
-// no interleaving may produce a torn cache answer, a lost run, or a TSan
+// no interleaving may produce a wrong answer, a lost run, or a TSan
 // report.
 #include <gtest/gtest.h>
 
@@ -46,7 +46,7 @@ constexpr int kWriterRounds = 40;
 }
 
 /// One full stress round at the given shard count. num_shards = 1 forces
-/// every run — stable and churned — onto one shard (maximal lock and cache
+/// every run — stable and churned — onto one shard (maximal lock
 /// collision); larger counts exercise genuine striping.
 void StressWithShards(size_t num_shards) {
   SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
@@ -54,7 +54,6 @@ void StressWithShards(size_t num_shards) {
 
   ProvenanceService::Options options;
   options.num_shards = num_shards;
-  options.cache_slots = 128;  // small: constant eviction + seqlock traffic
   auto created =
       ProvenanceService::Create(std::move(spec), SpecSchemeKind::kTcm,
                                 options);

@@ -38,26 +38,7 @@
 namespace skl {
 namespace {
 
-/// Tree-shaped specification for the interval scheme (which rejects spec
-/// graphs with undirected cycles); same shape as query_cache_test.cc.
-Specification MakeTreeSpec() {
-  SpecificationBuilder builder;
-  VertexId a = builder.AddModule("a");
-  VertexId b = builder.AddModule("b");
-  VertexId c = builder.AddModule("c");
-  VertexId d = builder.AddModule("d");
-  builder.AddEdge(a, b).AddEdge(b, c).AddEdge(c, d);
-  builder.DeclareLoop({b, c});
-  auto spec = std::move(builder).Build();
-  SKL_CHECK_MSG(spec.ok(), spec.status().ToString().c_str());
-  return std::move(spec).value();
-}
-
-Specification MakeSpecFor(SpecSchemeKind kind) {
-  return kind == SpecSchemeKind::kInterval
-             ? MakeTreeSpec()
-             : testing_util::MakeRunningExample().spec;
-}
+using testing_util::MakeSpecFor;
 
 /// One primary + 2 replicas + fleet client + local twin, replaying one
 /// seeded op sequence and asserting fleet/twin bit-identity throughout.

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/speclabel/scheme.h"
 #include "src/workflow/run.h"
 #include "src/workflow/specification.h"
 #include "src/workload/real_workflows.h"
@@ -137,6 +138,28 @@ inline RunningExample MakeRunningExample() {
   SKL_CHECK_MSG(run_result.ok(), run_result.status().ToString().c_str());
   ex.run = std::move(run_result).value();
   return ex;
+}
+
+/// A tree-shaped specification for the interval scheme (which rejects spec
+/// graphs with undirected cycles): a -> b -> c -> d with loop {b, c}.
+inline Specification MakeTreeSpec() {
+  SpecificationBuilder builder;
+  VertexId a = builder.AddModule("a");
+  VertexId b = builder.AddModule("b");
+  VertexId c = builder.AddModule("c");
+  VertexId d = builder.AddModule("d");
+  builder.AddEdge(a, b).AddEdge(b, c).AddEdge(c, d);
+  builder.DeclareLoop({b, c});
+  auto spec = std::move(builder).Build();
+  SKL_CHECK_MSG(spec.ok(), spec.status().ToString().c_str());
+  return std::move(spec).value();
+}
+
+/// The spec a scheme kind is exercised on: the tree spec for the interval
+/// scheme, the running example for every other scheme.
+inline Specification MakeSpecFor(SpecSchemeKind kind) {
+  return kind == SpecSchemeKind::kInterval ? MakeTreeSpec()
+                                           : MakeRunningExample().spec;
 }
 
 }  // namespace testing_util

@@ -14,7 +14,7 @@ artifact and fills CURRENT_DIR from this run (docs/BENCHMARKS.md).
 Every metric present on both sides is reported in a markdown delta table
 (written to --summary for $GITHUB_STEP_SUMMARY, and always to stdout).
 Only the *gated* keys fail the job: snapshot_load_*, spec_delta_*,
-query_cache_hit_ns, net_connscale_*_p99_latency and repl_lag_p50/p99 —
+query_tcm_ns, net_connscale_*_p99_latency and repl_lag_p50/p99 —
 the snapshot-restore, spec-update-relabel, serving-latency,
 connection-scale tail-latency and replication-lag surfaces this repo
 promises not to regress. A gated
@@ -24,7 +24,9 @@ explicitly for every unit a gated key uses, and time-like units
 (ms, ns/query) otherwise regress upward, rate-like units (MB/s, runs/s)
 downward. A gated key that exists in the baseline but vanished from the
 current run also fails (a silently dropped metric must not pass the
-gate it used to guard).
+gate it used to guard) — unless it is listed in RETIRED, the explicit
+record of gated keys whose bench row was deliberately deleted; those
+print "retired" instead of "MISSING".
 
 Artifact compatibility: documents written by JsonReporter carry
 bench_schema_version (bench/bench_common.h). A file whose version is
@@ -47,7 +49,12 @@ import sys
 SCHEMA_VERSION = 1
 
 GATED_PREFIXES = ("snapshot_load_", "spec_delta_")
-GATED_EXACT = ("query_cache_hit_ns", "repl_lag_p50", "repl_lag_p99")
+GATED_EXACT = ("query_tcm_ns", "repl_lag_p50", "repl_lag_p99")
+#: Formerly gated keys whose bench row was deliberately deleted: a baseline
+#: that still carries one reports it as "retired" rather than "removed".
+#: query_cache_hit_ns: the query result cache was removed; query_tcm_ns
+#: gates the serving latency instead.
+RETIRED = ("query_cache_hit_ns",)
 #: (prefix, suffix) pairs: gates the connection-scale p99 keys
 #: (net_connscale_256_p99_latency, ..._1024_..., ...) without gating the
 #: qps/churn keys that share the prefix.
@@ -139,7 +146,7 @@ def main():
 
     lines = [
         f"### Bench comparison (gate: ±{args.threshold:.0%} on "
-        "`snapshot_load_*`, `spec_delta_*`, `query_cache_hit_ns`, "
+        "`snapshot_load_*`, `spec_delta_*`, `query_tcm_ns`, "
         "`net_connscale_*_p99_latency`, `repl_lag_p50/p99`)",
         "",
         "| metric | baseline | current | delta | gate |",
@@ -149,7 +156,9 @@ def main():
     for key in sorted(set(baseline) | set(current)):
         gated = is_gated(key)
         if key not in current:
-            status = "MISSING" if gated else "removed"
+            retired = key.rsplit("/", 1)[-1] in RETIRED
+            status = ("retired" if retired else
+                      "MISSING" if gated else "removed")
             lines.append(f"| `{key}` | {baseline[key][0]:.4g} {baseline[key][1]}"
                          f" | — | — | {status} |")
             if gated:
