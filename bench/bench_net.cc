@@ -18,6 +18,11 @@
 // thread-per-connection model this sweep would need thousands of threads;
 // the reactor serves it from Options::num_io_threads.
 //
+// A codec-only section runs first, with no socket: one in-process encode
+// and decode of a 4096-pair ReachesBatch request frame plus its reply frame
+// (net_batch_codec_us, the payload work every batch pays on both ends), and
+// the CRC-32 throughput that frames every message (crc32_mb_per_sec).
+//
 // Environment knobs (CI uses tiny values, docs/BENCHMARKS.md the defaults):
 //   SKL_BENCH_NET_QUERIES    total queries per mode point (default 20000)
 //   SKL_BENCH_NET_SIZE       run size in vertices (default 2000)
@@ -43,6 +48,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "src/common/crc32.h"
 #include "src/common/metrics.h"
 #include "src/skl.h"
 
@@ -91,6 +97,101 @@ int ConnectIdle(uint16_t port) {
   return fd;
 }
 
+/// One batch round through the codec, as client and server run it: the
+/// client encodes the request frame, the server decodes it and its pairs,
+/// encodes the reply frame, and the client decodes the answers. Returns
+/// the number of answers read back (so the work cannot be elided).
+size_t BatchCodecRound(const std::vector<VertexPair>& pairs) {
+  PayloadWriter req;
+  req.Reserve(pairs.size() * 10 + 40);
+  req.U64(1);  // run id
+  req.U64(pairs.size());
+  for (const auto& [v, w] : pairs) {
+    req.U64(v);
+    req.U64(w);
+  }
+  req.U64(0);  // read LSN
+  req.U64(0);  // trace id
+  Frame request{kProtocolVersion, MsgType::kReachesBatch, 1,
+                std::move(req).Finish()};
+  std::vector<uint8_t> wire;
+  EncodeFrame(request, &wire);
+
+  FrameDecoder server_side;
+  server_side.Feed(wire);
+  auto in = server_side.Next();
+  SKL_CHECK(in.ok() && in->has_value());
+  PayloadReader reader((*in)->payload);
+  SKL_CHECK(reader.U64().ok());
+  auto count = reader.U64();
+  SKL_CHECK(count.ok());
+  std::vector<VertexPair> decoded;
+  decoded.reserve(*count);
+  for (uint64_t i = 0; i < *count; ++i) {
+    auto v = reader.U64();
+    auto w = reader.U64();
+    SKL_CHECK(v.ok() && w.ok());
+    decoded.push_back({static_cast<VertexId>(*v), static_cast<VertexId>(*w)});
+  }
+  PayloadWriter out;
+  out.Reserve(kMaxVarintBytes + decoded.size());
+  out.U64(decoded.size());
+  for (const auto& [v, w] : decoded) out.Boolean(v <= w);
+  Frame reply{kProtocolVersion, MsgType::kReply, 1, std::move(out).Finish()};
+  wire.clear();
+  EncodeFrame(reply, &wire);
+
+  FrameDecoder client_side;
+  client_side.Feed(wire);
+  auto back = client_side.Next();
+  SKL_CHECK(back.ok() && back->has_value());
+  PayloadReader answers_reader((*back)->payload);
+  auto answers_count = answers_reader.U64();
+  SKL_CHECK(answers_count.ok());
+  std::vector<bool> answers;
+  SKL_CHECK(answers_reader.Booleans(*answers_count, &answers).ok());
+  return answers.size();
+}
+
+/// The codec-only rows: mean microseconds per batch round and CRC-32
+/// throughput, each repeated until it has run for at least 0.2 s.
+void RunCodecBench(VertexId n, JsonReporter& json) {
+  constexpr size_t kBatchPairs = 4096;
+  std::vector<VertexPair> pairs;
+  pairs.reserve(kBatchPairs);
+  Rng rng(4096);
+  for (size_t i = 0; i < kBatchPairs; ++i) {
+    pairs.push_back({static_cast<VertexId>(rng.NextBelow(n)),
+                     static_cast<VertexId>(rng.NextBelow(n))});
+  }
+  size_t rounds = 0, answers = 0;
+  Stopwatch sw;
+  while (rounds < 20 || sw.ElapsedSeconds() < 0.2) {
+    answers += BatchCodecRound(pairs);
+    ++rounds;
+  }
+  const double codec_us = sw.ElapsedSeconds() * 1e6 / rounds;
+  SKL_CHECK(answers == rounds * kBatchPairs);
+
+  std::vector<uint8_t> buffer(1 << 20);
+  for (uint8_t& b : buffer) b = static_cast<uint8_t>(rng.Next());
+  size_t passes = 0;
+  uint32_t crc = 0;
+  sw.Restart();
+  while (passes < 8 || sw.ElapsedSeconds() < 0.2) {
+    crc = Crc32Update(crc, buffer);
+    ++passes;
+  }
+  const double crc_mb_per_sec =
+      passes * (buffer.size() / 1e6) / sw.ElapsedSeconds();
+
+  std::printf("codec: %zu-pair ReachesBatch request+reply encode/decode "
+              "%.1f us/round; CRC-32 %.0f MB/s\n",
+              kBatchPairs, codec_us, crc_mb_per_sec);
+  json.Add("net_batch_codec_us", codec_us, "us");
+  json.Add("crc32_mb_per_sec", crc_mb_per_sec, "MB/s");
+}
+
 }  // namespace
 
 int main() {
@@ -118,12 +219,13 @@ int main() {
   SKL_CHECK_MSG(server.ok(), server.status().ToString().c_str());
   const uint16_t port = (*server)->port();
 
+  JsonReporter json("bench_net");
+  RunCodecBench(n, json);
+
   PrintHeader("network serving: Reaches over loopback, run of " +
               std::to_string(n) + " vertices");
   std::printf("%6s  %-10s %10s %12s %10s %10s\n", "conns", "mode", "queries",
               "queries/s", "p50(us)", "p99(us)");
-
-  JsonReporter json("bench_net");
 
   // Per-connection deterministic query workloads.
   const auto make_pairs = [&](unsigned conn, size_t count) {

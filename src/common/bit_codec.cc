@@ -6,27 +6,50 @@
 
 namespace skl {
 
+size_t EncodeVarint(uint64_t value, uint8_t* out) {
+  size_t n = 0;
+  while (value >= 0x80) {
+    out[n++] = static_cast<uint8_t>(value | 0x80);
+    value >>= 7;
+  }
+  out[n++] = static_cast<uint8_t>(value);
+  return n;
+}
+
+// Invariant: bytes_.size() == ceil(bit_count_ / 8) and the bits of the last
+// byte past bit_count_ are zero, so aligning is a bit_count_ bump and a
+// partial byte can be completed with a single OR.
 void BitWriter::Write(uint64_t value, int bits) {
   SKL_DCHECK(bits > 0 && bits <= 64);
   SKL_DCHECK(bits == 64 || value < (uint64_t{1} << bits));
-  for (int i = bits - 1; i >= 0; --i) {
-    size_t byte = bit_count_ >> 3;
-    if (byte >= bytes_.size()) bytes_.push_back(0);
-    uint8_t bit = static_cast<uint8_t>((value >> i) & 1);
-    bytes_[byte] = static_cast<uint8_t>(bytes_[byte] |
-                                        (bit << (7 - (bit_count_ & 7))));
-    ++bit_count_;
+  if (bits < 64) value &= (uint64_t{1} << bits) - 1;
+  const int used = static_cast<int>(bit_count_ & 7);
+  bit_count_ += static_cast<size_t>(bits);
+  if (used != 0) {
+    // Top up the partial last byte with the field's leading bits.
+    const int room = 8 - used;
+    if (bits <= room) {
+      bytes_.back() |= static_cast<uint8_t>(value << (room - bits));
+      return;
+    }
+    bits -= room;
+    bytes_.back() |= static_cast<uint8_t>(value >> bits);
   }
+  // Byte-aligned from here: whole bytes MSB-first, then a zero-padded tail.
+  while (bits >= 8) {
+    bits -= 8;
+    bytes_.push_back(static_cast<uint8_t>(value >> bits));
+  }
+  if (bits > 0) bytes_.push_back(static_cast<uint8_t>(value << (8 - bits)));
 }
 
 void BitWriter::WriteVarint(uint64_t value) {
-  AlignToByte();
-  do {
-    uint8_t byte = value & 0x7f;
-    value >>= 7;
-    if (value != 0) byte |= 0x80;
-    Write(byte, 8);
-  } while (value != 0);
+  uint8_t buf[kMaxVarintBytes];
+  const size_t n = EncodeVarint(value, buf);
+  // Appending after a partial last byte is the byte alignment: its padding
+  // bits are already zero.
+  for (size_t i = 0; i < n; ++i) bytes_.push_back(buf[i]);
+  bit_count_ = bytes_.size() * 8;
 }
 
 void BitWriter::WriteBytes(std::span<const uint8_t> bytes) {
@@ -35,8 +58,10 @@ void BitWriter::WriteBytes(std::span<const uint8_t> bytes) {
   bit_count_ += bytes.size() * 8;
 }
 
-void BitWriter::AlignToByte() {
-  while (bit_count_ & 7) Write(0, 1);
+void BitWriter::AlignToByte() { bit_count_ = bytes_.size() * 8; }
+
+void BitWriter::Reserve(size_t extra_bytes) {
+  bytes_.reserve(bytes_.size() + extra_bytes);
 }
 
 std::vector<uint8_t> BitWriter::Finish() {
@@ -55,29 +80,48 @@ Status BitReader::Read(int bits, uint64_t* value) {
   if (bit_pos_ + static_cast<size_t>(bits) > size_bits_) {
     return Status::ParseError("bit stream exhausted");
   }
-  uint64_t out = 0;
-  for (int i = 0; i < bits; ++i) {
-    uint8_t byte = data_[bit_pos_ >> 3];
-    uint8_t bit = (byte >> (7 - (bit_pos_ & 7))) & 1;
-    out = (out << 1) | bit;
-    ++bit_pos_;
+  const uint8_t* p = data_ + (bit_pos_ >> 3);
+  const int skip = static_cast<int>(bit_pos_ & 7);
+  bit_pos_ += static_cast<size_t>(bits);
+  // The first byte contributes its low 8 - skip bits, later bytes all 8,
+  // the last one only its leading `need` bits.
+  uint64_t out = *p++ & (0xFFu >> skip);
+  const int have = 8 - skip;
+  if (bits <= have) {
+    *value = out >> (have - bits);
+    return Status::OK();
   }
+  int need = bits - have;
+  while (need >= 8) {
+    out = (out << 8) | *p++;
+    need -= 8;
+  }
+  if (need > 0) out = (out << need) | (*p >> (8 - need));
   *value = out;
   return Status::OK();
 }
 
 Status BitReader::ReadVarint(uint64_t* value) {
   AlignToByte();
+  const size_t size_bytes = size_bits_ >> 3;
+  size_t pos = bit_pos_ >> 3;
   uint64_t out = 0;
   int shift = 0;
   for (;;) {
-    uint64_t byte = 0;
-    SKL_RETURN_NOT_OK(Read(8, &byte));
+    if (pos >= size_bytes) {
+      bit_pos_ = pos * 8;
+      return Status::ParseError("bit stream exhausted");
+    }
+    const uint64_t byte = data_[pos++];
     out |= (byte & 0x7f) << shift;
     if ((byte & 0x80) == 0) break;
     shift += 7;
-    if (shift > 63) return Status::ParseError("varint too long");
+    if (shift > 63) {
+      bit_pos_ = pos * 8;
+      return Status::ParseError("varint too long");
+    }
   }
+  bit_pos_ = pos * 8;
   *value = out;
   return Status::OK();
 }

@@ -2,9 +2,16 @@
 // `3*ceil(log2 n_T_plus)` bits of context encoding plus `ceil(log2 n_G)` bits
 // of origin id, and we serialize them at exactly that width to demonstrate the
 // paper's label-length bounds on real bytes.
+//
+// The same primitives frame every wire message, op-log entry, snapshot
+// section and store blob, so they work a byte or a word at a time: a
+// byte-aligned field (a varint, a raw blob, an 8-bit field at a byte
+// boundary) takes the byte path, and an unaligned field of any width costs
+// one step per byte it touches, never one per bit.
 #ifndef SKL_COMMON_BIT_CODEC_H_
 #define SKL_COMMON_BIT_CODEC_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -12,6 +19,14 @@
 #include "src/common/status.h"
 
 namespace skl {
+
+/// Longest LEB128 varint of a uint64_t: ceil(64 / 7) bytes.
+inline constexpr size_t kMaxVarintBytes = 10;
+
+/// Writes the LEB128 varint of `value` (7 bits per byte, low group first,
+/// high bit = continuation) to out[0..kMaxVarintBytes) and returns the
+/// number of bytes used — the byte sequence BitWriter::WriteVarint appends.
+size_t EncodeVarint(uint64_t value, uint8_t* out);
 
 /// Appends fields of arbitrary bit width (1..64) to a byte buffer, MSB-first
 /// within each field, fields packed back to back.
@@ -29,8 +44,13 @@ class BitWriter {
   /// snapshot) without re-encoding it bit by bit.
   void WriteBytes(std::span<const uint8_t> bytes);
 
-  /// Pads with zero bits to the next byte boundary.
+  /// Pads with zero bits to the next byte boundary. O(1): the padding bits
+  /// are already zero.
   void AlignToByte();
+
+  /// Ensures room for `extra_bytes` more bytes without reallocating — for
+  /// callers that know the encoded size up front (batch payloads).
+  void Reserve(size_t extra_bytes);
 
   /// Total bits written so far.
   size_t bit_count() const { return bit_count_; }
@@ -50,6 +70,8 @@ class BitReader {
   explicit BitReader(const std::vector<uint8_t>& bytes);
 
   /// Reads a `bits`-wide field into *value. Fails if the stream is exhausted.
+  /// A field at a byte boundary reads whole bytes; an unaligned one reads
+  /// each byte it touches once.
   Status Read(int bits, uint64_t* value);
 
   /// Reads a varint written by WriteVarint (aligns to byte first).

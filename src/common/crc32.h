@@ -1,6 +1,10 @@
 // CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant) used to checksum
-// snapshot sections: a flipped bit in a persisted service snapshot must be
-// reported as corruption, never parsed into a wrong-but-plausible registry.
+// every framed record the library writes or ships: snapshot sections, op-log
+// entries and the body of every wire-protocol frame. A flipped bit in a
+// persisted snapshot, a replicated log entry or a request on the wire must be
+// reported as corruption, never parsed into a wrong-but-plausible registry
+// or query. Computed slicing-by-8 (eight input bytes per step) on
+// little-endian hosts, bytewise elsewhere and for the tail.
 #ifndef SKL_COMMON_CRC32_H_
 #define SKL_COMMON_CRC32_H_
 

@@ -57,13 +57,16 @@ Result<std::vector<bool>> DecodeBoolVector(std::span<const uint8_t> payload,
                               std::to_string(expected));
   }
   std::vector<bool> answers;
-  answers.reserve(expected);
-  for (uint64_t i = 0; i < count; ++i) {
-    SKL_ASSIGN_OR_RETURN(bool answer, reader.Boolean());
-    answers.push_back(answer);
-  }
+  SKL_RETURN_NOT_OK(reader.Booleans(expected, &answers));
   SKL_RETURN_NOT_OK(reader.ExpectEnd());
   return answers;
+}
+
+/// Upper bound on a batch request payload of `pairs` pairs: run id, count,
+/// read LSN and trace id as 64-bit varints, each id of a pair as a 32-bit
+/// varint.
+size_t BatchRequestBytes(size_t pairs) {
+  return 4 * kMaxVarintBytes + pairs * 2 * 5;
 }
 
 Result<bool> DecodeBool(std::span<const uint8_t> payload) {
@@ -220,11 +223,25 @@ Result<uint64_t> ProvenanceClient::Send(MsgType type,
                                         std::vector<uint8_t> payload) {
   if (!broken_.ok()) return broken_;
   if (fd_ < 0) return Status::Unavailable("client is not connected");
+  // Body = version + type + request-id varint + payload. A body the
+  // server would refuse as a corrupt length prefix is refused here instead,
+  // before a byte is written, so the connection stays usable.
+  uint8_t request_id[kMaxVarintBytes];
+  const size_t body_len =
+      2 + EncodeVarint(next_request_id_, request_id) + payload.size();
+  if (body_len > options_.max_frame_bytes) {
+    return Status::CapacityExceeded(
+        std::string(MsgTypeName(type)) + " request body of " +
+        std::to_string(body_len) + " bytes exceeds the maximum frame of " +
+        std::to_string(options_.max_frame_bytes) +
+        " bytes; split it into smaller requests");
+  }
   Frame frame;
   frame.type = type;
   frame.request_id = next_request_id_++;
   frame.payload = std::move(payload);
   std::vector<uint8_t> bytes;
+  bytes.reserve(kFrameHeaderBytes + body_len);
   EncodeFrame(frame, &bytes);
   if (!SendAll(fd_, bytes)) {
     return Poison(Status::Unavailable(Errno("send()")));
@@ -340,6 +357,7 @@ Result<bool> ProvenanceClient::Reaches(RunId id, VertexId v, VertexId w) {
 Result<std::vector<bool>> ProvenanceClient::ReachesBatch(
     RunId id, std::span<const VertexPair> pairs) {
   PayloadWriter req;
+  req.Reserve(BatchRequestBytes(pairs.size()));
   req.U64(id.value());
   req.U64(pairs.size());
   for (const auto& [v, w] : pairs) {
@@ -371,6 +389,7 @@ Result<bool> ProvenanceClient::DependsOn(RunId id, DataItemId x,
 Result<std::vector<bool>> ProvenanceClient::DependsOnBatch(
     RunId id, std::span<const ItemPair> pairs) {
   PayloadWriter req;
+  req.Reserve(BatchRequestBytes(pairs.size()));
   req.U64(id.value());
   req.U64(pairs.size());
   for (const auto& [x, x_from] : pairs) {

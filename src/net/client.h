@@ -56,7 +56,11 @@ namespace skl {
 /// Client knobs. (Namespace-scope so it can be brace-defaulted; spelled
 /// ProvenanceClient::Options at call sites.)
 struct ProvenanceClientOptions {
-  /// Per-frame size ceiling for responses.
+  /// Per-frame size ceiling, both ways: a larger response poisons the
+  /// connection, a larger request is refused before it is sent
+  /// (kCapacityExceeded; the connection stays usable). Keep it at or
+  /// below the server's max_frame_bytes so an oversized batch fails here
+  /// instead of costing the connection.
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// How many times an idempotent read is retried after a *transport*
   /// failure (kUnavailable), reconnecting before each retry. 0 = fail
@@ -207,7 +211,9 @@ class ProvenanceClient {
  private:
   ProvenanceClient(int fd, Options options, std::string host, uint16_t port);
 
-  /// Sends one request frame; returns its request id.
+  /// Sends one request frame; returns its request id. A frame body over
+  /// options_.max_frame_bytes is refused with kCapacityExceeded before
+  /// anything is written.
   Result<uint64_t> Send(MsgType type, std::vector<uint8_t> payload);
   /// Blocks for the next response frame and checks it answers `request_id`.
   /// kError responses decode back into their carried Status; kRetryAt

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "src/common/check.h"
 #include "src/common/crc32.h"
 
 namespace skl {
@@ -44,24 +45,40 @@ bool IsRequestType(uint8_t type) {
          type <= static_cast<uint8_t>(MsgType::kApplySpecDelta);
 }
 
+namespace {
+
+void StoreBigEndian32(uint32_t value, uint8_t* out) {
+  out[0] = static_cast<uint8_t>(value >> 24);
+  out[1] = static_cast<uint8_t>(value >> 16);
+  out[2] = static_cast<uint8_t>(value >> 8);
+  out[3] = static_cast<uint8_t>(value);
+}
+
+}  // namespace
+
 void EncodeFrame(const Frame& frame, std::vector<uint8_t>* out) {
-  // Body first: its length and CRC go into the header.
-  BitWriter body_writer;
-  body_writer.Write(frame.version, 8);
-  body_writer.Write(static_cast<uint8_t>(frame.type), 8);
-  body_writer.WriteVarint(frame.request_id);
-  body_writer.WriteBytes(frame.payload);
-  const std::vector<uint8_t> body = std::move(body_writer).Finish();
+  uint8_t request_id[kMaxVarintBytes];
+  const size_t id_bytes = EncodeVarint(frame.request_id, request_id);
+  const size_t body_len = 2 + id_bytes + frame.payload.size();
+  SKL_CHECK_MSG(body_len <= UINT32_MAX,
+                "frame body does not fit the 32-bit length field");
 
-  BitWriter header;
-  header.Write(kFrameMagic, 16);
-  header.Write(static_cast<uint32_t>(body.size()), 32);
-  header.Write(Crc32(body), 32);
-  const std::vector<uint8_t> header_bytes = std::move(header).Finish();
-
-  out->reserve(out->size() + header_bytes.size() + body.size());
-  out->insert(out->end(), header_bytes.begin(), header_bytes.end());
-  out->insert(out->end(), body.begin(), body.end());
+  // Header and body go straight into *out; the body CRC is back-patched
+  // once the body bytes are in place.
+  const size_t start = out->size();
+  out->reserve(start + kFrameHeaderBytes + body_len);
+  out->resize(start + kFrameHeaderBytes);
+  uint8_t* header = out->data() + start;
+  header[0] = static_cast<uint8_t>(kFrameMagic >> 8);
+  header[1] = static_cast<uint8_t>(kFrameMagic & 0xFF);
+  StoreBigEndian32(static_cast<uint32_t>(body_len), header + 2);
+  out->push_back(frame.version);
+  out->push_back(static_cast<uint8_t>(frame.type));
+  out->insert(out->end(), request_id, request_id + id_bytes);
+  out->insert(out->end(), frame.payload.begin(), frame.payload.end());
+  const std::span<const uint8_t> body(out->data() + start + kFrameHeaderBytes,
+                                      body_len);
+  StoreBigEndian32(Crc32(body), out->data() + start + 6);
 }
 
 void FrameDecoder::Feed(std::span<const uint8_t> bytes) {
@@ -154,6 +171,23 @@ Result<bool> PayloadReader::Boolean() {
     return Status::ParseError("boolean field holds " + std::to_string(value));
   }
   return value == 1;
+}
+
+Status PayloadReader::Booleans(size_t count, std::vector<bool>* out) {
+  reader_.AlignToByte();
+  // Check the bytes that are present before reporting a truncation, so a
+  // bad byte is named exactly as Boolean() would name it.
+  const size_t present = std::min(count, remaining_bytes());
+  std::span<const uint8_t> bytes;
+  SKL_RETURN_NOT_OK(reader_.ReadBytes(present, &bytes));
+  for (uint8_t byte : bytes) {
+    if (byte > 1) {
+      return Status::ParseError("boolean field holds " + std::to_string(byte));
+    }
+  }
+  if (present < count) return Status::ParseError("bit stream exhausted");
+  out->assign(bytes.begin(), bytes.end());
+  return Status::OK();
 }
 
 Result<std::span<const uint8_t>> PayloadReader::Bytes() {

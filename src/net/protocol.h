@@ -131,7 +131,11 @@ struct Frame {
   std::vector<uint8_t> payload;
 };
 
-/// Encodes `frame` into the wire format, appending to `*out`.
+/// Encodes `frame` into the wire format, appending to `*out` (one
+/// reservation, no intermediate buffers). The body must fit the 32-bit
+/// length field — a larger one is a caller bug and aborts; senders bound
+/// frames well below that (ProvenanceClient::Send refuses anything over
+/// its max_frame_bytes).
 void EncodeFrame(const Frame& frame, std::vector<uint8_t>* out);
 
 /// Incremental frame decoder over a received byte stream. Feed() bytes as
@@ -181,6 +185,8 @@ class PayloadWriter {
   void Str(std::string_view s) {
     Bytes({reinterpret_cast<const uint8_t*>(s.data()), s.size()});
   }
+  /// Room for `bytes` more payload bytes (batch payloads of known shape).
+  void Reserve(size_t bytes) { writer_.Reserve(bytes); }
   std::vector<uint8_t> Finish() && { return std::move(writer_).Finish(); }
 
  private:
@@ -197,12 +203,23 @@ class PayloadReader {
 
   Result<uint64_t> U64();
   Result<bool> Boolean();
+  /// `count` consecutive Boolean() fields, read as one byte span: any byte
+  /// other than 0/1 fails exactly as Boolean() would, and so does a payload
+  /// holding fewer than `count` bytes.
+  Status Booleans(size_t count, std::vector<bool>* out);
   /// Length-prefixed blob; the span aliases the payload buffer.
   Result<std::span<const uint8_t>> Bytes();
   Result<std::string> Str();
   /// Fails with ParseError if payload bytes remain unconsumed — a shape
   /// mismatch (e.g. a request with extra arguments) must not pass silently.
   Status ExpectEnd();
+
+  /// Whole bytes not yet consumed (a partly read byte counts as consumed).
+  /// Bounds what a count field can honestly claim before anything is
+  /// allocated for it.
+  size_t remaining_bytes() const {
+    return size_bytes_ - (reader_.bit_position() + 7) / 8;
+  }
 
  private:
   BitReader reader_;

@@ -1020,6 +1020,9 @@ Result<std::vector<uint8_t>> ProvenanceServer::Dispatch(
       SKL_ASSIGN_OR_RETURN(uint64_t run, reader.U64());
       SKL_ASSIGN_OR_RETURN(uint64_t count, reader.U64());
       std::vector<VertexPair> pairs;
+      // Every pair costs at least two payload bytes, so the bytes left
+      // bound the reservation whatever the count field claims.
+      pairs.reserve(std::min<uint64_t>(count, reader.remaining_bytes() / 2));
       for (uint64_t i = 0; i < count; ++i) {  // reads bound the allocation
         SKL_ASSIGN_OR_RETURN(VertexId v, ReadU32(reader, "vertex id"));
         SKL_ASSIGN_OR_RETURN(VertexId w, ReadU32(reader, "vertex id"));
@@ -1030,6 +1033,7 @@ Result<std::vector<uint8_t>> ProvenanceServer::Dispatch(
       SKL_ASSIGN_OR_RETURN(
           std::vector<bool> answers,
           service_.ReachesBatch(RunId::FromValue(run), pairs));
+      out.Reserve(kMaxVarintBytes + answers.size());
       out.U64(answers.size());
       for (bool answer : answers) out.Boolean(answer);
       break;
@@ -1048,7 +1052,8 @@ Result<std::vector<uint8_t>> ProvenanceServer::Dispatch(
     case MsgType::kDependsOnBatch: {
       SKL_ASSIGN_OR_RETURN(uint64_t run, reader.U64());
       SKL_ASSIGN_OR_RETURN(uint64_t count, reader.U64());
-      std::vector<ItemPair> pairs;
+      std::vector<ItemPair> pairs;  // reserved as in kReachesBatch
+      pairs.reserve(std::min<uint64_t>(count, reader.remaining_bytes() / 2));
       for (uint64_t i = 0; i < count; ++i) {
         SKL_ASSIGN_OR_RETURN(DataItemId x, ReadU32(reader, "item id"));
         SKL_ASSIGN_OR_RETURN(DataItemId x_from, ReadU32(reader, "item id"));
@@ -1059,6 +1064,7 @@ Result<std::vector<uint8_t>> ProvenanceServer::Dispatch(
       SKL_ASSIGN_OR_RETURN(
           std::vector<bool> answers,
           service_.DependsOnBatch(RunId::FromValue(run), pairs));
+      out.Reserve(kMaxVarintBytes + answers.size());
       out.U64(answers.size());
       for (bool answer : answers) out.Boolean(answer);
       break;

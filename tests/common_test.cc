@@ -6,6 +6,7 @@
 #include <cmath>
 #include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "src/common/bit_codec.h"
@@ -383,6 +384,262 @@ TEST(BitCodecTest, ExhaustiveWidthRoundTrip) {
     EXPECT_EQ(v, 0u) << bits;
     ASSERT_TRUE(r.Read(bits, &v).ok());
     EXPECT_EQ(v, max_val & 0x5555555555555555ULL) << bits;
+  }
+}
+
+// ------------------------------------------------ codec byte identity --
+//
+// The codec works a byte or a word at a time; these references move one
+// bit (BitWriter) or one byte (CRC-32) per step, exactly as the formats are
+// defined. The optimized code must produce the same bytes and the same
+// checksums: every frame, op-log entry, snapshot and store blob depends
+// on it.
+
+/// Bit-at-a-time writer: the definition of the bit layout.
+class ReferenceBitWriter {
+ public:
+  void Write(uint64_t value, int bits) {
+    for (int i = bits - 1; i >= 0; --i) {
+      size_t byte = bit_count_ >> 3;
+      if (byte >= bytes_.size()) bytes_.push_back(0);
+      uint8_t bit = static_cast<uint8_t>((value >> i) & 1);
+      bytes_[byte] = static_cast<uint8_t>(bytes_[byte] |
+                                          (bit << (7 - (bit_count_ & 7))));
+      ++bit_count_;
+    }
+  }
+  void WriteVarint(uint64_t value) {
+    AlignToByte();
+    do {
+      uint8_t byte = value & 0x7f;
+      value >>= 7;
+      if (value != 0) byte |= 0x80;
+      Write(byte, 8);
+    } while (value != 0);
+  }
+  void WriteBytes(std::span<const uint8_t> bytes) {
+    AlignToByte();
+    bytes_.insert(bytes_.end(), bytes.begin(), bytes.end());
+    bit_count_ += bytes.size() * 8;
+  }
+  void AlignToByte() {
+    while (bit_count_ & 7) Write(0, 1);
+  }
+  size_t bit_count() const { return bit_count_; }
+  std::vector<uint8_t> Finish() {
+    AlignToByte();
+    return std::move(bytes_);
+  }
+
+ private:
+  std::vector<uint8_t> bytes_;
+  size_t bit_count_ = 0;
+};
+
+uint64_t MaskTo(uint64_t value, int bits) {
+  return bits == 64 ? value : value & ((uint64_t{1} << bits) - 1);
+}
+
+/// One codec operation; `value`/`bits` or `blob` depending on `kind`.
+struct CodecOp {
+  enum Kind { kWrite, kVarint, kBytes, kAlign } kind = kWrite;
+  uint64_t value = 0;
+  int bits = 0;
+  std::vector<uint8_t> blob;
+};
+
+std::vector<CodecOp> RandomCodecOps(Rng& rng, size_t count) {
+  static constexpr uint64_t kVarintEdges[] = {
+      0, 1, 127, 128, 16383, 16384, (uint64_t{1} << 35) - 1, uint64_t{1} << 56,
+      UINT64_MAX - 1, UINT64_MAX};
+  std::vector<CodecOp> ops;
+  for (size_t i = 0; i < count; ++i) {
+    CodecOp op;
+    switch (rng.NextBelow(8)) {
+      case 0:
+        op.kind = CodecOp::kVarint;
+        op.value = rng.NextBool() ? kVarintEdges[rng.NextBelow(10)]
+                                  : rng.Next() >> rng.NextBelow(64);
+        break;
+      case 1:
+        op.kind = CodecOp::kBytes;
+        op.blob.resize(rng.NextBelow(12));
+        for (uint8_t& b : op.blob) b = static_cast<uint8_t>(rng.Next());
+        break;
+      case 2:
+        op.kind = CodecOp::kAlign;
+        break;
+      default:
+        op.bits = static_cast<int>(1 + rng.NextBelow(64));
+        op.value = MaskTo(rng.Next(), op.bits);
+        break;
+    }
+    ops.push_back(std::move(op));
+  }
+  return ops;
+}
+
+template <typename Writer>
+std::vector<uint8_t> ApplyOps(const std::vector<CodecOp>& ops) {
+  Writer w;
+  for (const CodecOp& op : ops) {
+    switch (op.kind) {
+      case CodecOp::kWrite: w.Write(op.value, op.bits); break;
+      case CodecOp::kVarint: w.WriteVarint(op.value); break;
+      case CodecOp::kBytes: w.WriteBytes(op.blob); break;
+      case CodecOp::kAlign: w.AlignToByte(); break;
+    }
+  }
+  return w.Finish();
+}
+
+/// Reads `ops` back; the first failure's status, or OK if all read back
+/// with the written values.
+Status ReadOps(const std::vector<CodecOp>& ops, const uint8_t* data,
+               size_t size) {
+  BitReader r(data, size);
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const CodecOp& op = ops[i];
+    uint64_t v = 0;
+    std::span<const uint8_t> blob;
+    switch (op.kind) {
+      case CodecOp::kWrite:
+        SKL_RETURN_NOT_OK(r.Read(op.bits, &v));
+        if (v != op.value) return Status::Internal("op " + std::to_string(i));
+        break;
+      case CodecOp::kVarint:
+        SKL_RETURN_NOT_OK(r.ReadVarint(&v));
+        if (v != op.value) return Status::Internal("op " + std::to_string(i));
+        break;
+      case CodecOp::kBytes:
+        SKL_RETURN_NOT_OK(r.ReadBytes(op.blob.size(), &blob));
+        if (!std::equal(blob.begin(), blob.end(), op.blob.begin(),
+                        op.blob.end())) {
+          return Status::Internal("op " + std::to_string(i));
+        }
+        break;
+      case CodecOp::kAlign:
+        r.AlignToByte();
+        break;
+    }
+  }
+  return Status::OK();
+}
+
+TEST(BitCodecTest, EveryWidthAtEveryAlignmentMatchesTheBitwiseReference) {
+  Rng rng(0xC0DEC);
+  for (int lead = 0; lead < 8; ++lead) {
+    for (int bits = 1; bits <= 64; ++bits) {
+      const uint64_t value = MaskTo(rng.Next(), bits);
+      const uint64_t ones = MaskTo(UINT64_MAX, bits);
+      BitWriter w;
+      ReferenceBitWriter ref;
+      if (lead > 0) {
+        w.Write(0x5A & ((1u << lead) - 1), lead);
+        ref.Write(0x5A & ((1u << lead) - 1), lead);
+      }
+      for (uint64_t field : {value, ones, uint64_t{0}, value}) {
+        w.Write(field, bits);
+        ref.Write(field, bits);
+        ASSERT_EQ(w.bit_count(), ref.bit_count());
+      }
+      const std::vector<uint8_t> bytes = w.Finish();
+      ASSERT_EQ(bytes, ref.Finish()) << "lead " << lead << " bits " << bits;
+      BitReader r(bytes);
+      uint64_t v = 0;
+      if (lead > 0) {
+        ASSERT_TRUE(r.Read(lead, &v).ok());
+      }
+      for (uint64_t field : {value, ones, uint64_t{0}, value}) {
+        ASSERT_TRUE(r.Read(bits, &v).ok());
+        EXPECT_EQ(v, field) << "lead " << lead << " bits " << bits;
+      }
+    }
+  }
+}
+
+TEST(BitCodecTest, RandomOpSequencesAreByteIdenticalToTheReference) {
+  Rng rng(20240613);
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::vector<CodecOp> ops =
+        RandomCodecOps(rng, 1 + rng.NextBelow(40));
+    const std::vector<uint8_t> bytes = ApplyOps<BitWriter>(ops);
+    ASSERT_EQ(bytes, ApplyOps<ReferenceBitWriter>(ops)) << "trial " << trial;
+    Status full = ReadOps(ops, bytes.data(), bytes.size());
+    ASSERT_TRUE(full.ok()) << "trial " << trial << ": " << full.ToString();
+    // Every strict prefix lacks bits some op needs: the reader must report
+    // exhaustion, never read a wrong value or past the end.
+    for (size_t cut = 0; cut < bytes.size(); ++cut) {
+      const std::vector<uint8_t> prefix(bytes.begin(),
+                                        bytes.begin() +
+                                            static_cast<ptrdiff_t>(cut));
+      Status truncated = ReadOps(ops, prefix.data(), prefix.size());
+      ASSERT_EQ(truncated.code(), StatusCode::kParseError)
+          << "trial " << trial << " cut " << cut << ": "
+          << truncated.ToString();
+      EXPECT_EQ(truncated.message(), "bit stream exhausted");
+    }
+  }
+}
+
+TEST(BitCodecTest, VarintOfTenContinuationBytesIsTooLong) {
+  const std::vector<uint8_t> ten(10, 0x80);
+  BitReader r(ten);
+  uint64_t v = 0;
+  Status status = r.ReadVarint(&v);
+  EXPECT_EQ(status.code(), StatusCode::kParseError);
+  EXPECT_EQ(status.message(), "varint too long");
+  // Nine continuation bytes and a terminator is the longest legal varint.
+  std::vector<uint8_t> longest(9, 0xFF);
+  longest.push_back(0x01);
+  BitReader ok(longest);
+  ASSERT_TRUE(ok.ReadVarint(&v).ok());
+  EXPECT_EQ(v, UINT64_MAX);
+  uint8_t encoded[kMaxVarintBytes];
+  ASSERT_EQ(EncodeVarint(UINT64_MAX, encoded), kMaxVarintBytes);
+  EXPECT_TRUE(std::equal(encoded, encoded + kMaxVarintBytes, longest.begin()));
+}
+
+/// Byte-at-a-time CRC-32: the definition the sliced loop must match.
+uint32_t ReferenceCrc32(std::span<const uint8_t> bytes) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (uint8_t b : bytes) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, SlicedMatchesBytewiseAtEveryLengthAndOffset) {
+  Rng rng(32);
+  std::vector<uint8_t> data(1024 + 8);
+  for (uint8_t& b : data) b = static_cast<uint8_t>(rng.Next());
+  const std::span<const uint8_t> all(data);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 1024; ++length) {
+      const std::span<const uint8_t> piece = all.subspan(offset, length);
+      ASSERT_EQ(Crc32(piece), ReferenceCrc32(piece))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(Crc32Test, RandomStreamingSplitsMatchOneShot) {
+  Rng rng(33);
+  std::vector<uint8_t> data(4096);
+  for (uint8_t& b : data) b = static_cast<uint8_t>(rng.Next());
+  const std::span<const uint8_t> all(data);
+  const uint32_t expected = ReferenceCrc32(all);
+  for (int trial = 0; trial < 200; ++trial) {
+    uint32_t crc = 0;
+    size_t pos = 0;
+    while (pos < all.size()) {
+      const size_t len =
+          std::min<size_t>(all.size() - pos, rng.NextBelow(40));
+      crc = Crc32Update(crc, all.subspan(pos, len));
+      pos += len;
+    }
+    ASSERT_EQ(crc, expected) << "trial " << trial;
   }
 }
 

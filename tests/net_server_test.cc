@@ -252,6 +252,32 @@ TEST(NetServerTest, PipelinedErrorsDrainAndTheConnectionSurvives) {
   EXPECT_TRUE(client.Ping().ok());
 }
 
+TEST(NetServerTest, OversizedRequestIsRefusedBeforeSendingAndKeepsTheConnection) {
+  auto server = StartServer(SpecSchemeKind::kTcm);
+  auto connected = ProvenanceClient::Connect("127.0.0.1", server->port(),
+                                             /*max_frame_bytes=*/4096);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  ProvenanceClient client = std::move(connected).value();
+  auto ids = client.ListRuns();
+  ASSERT_TRUE(ids.ok()) << ids.status().ToString();
+  // 2000 pairs of two-byte varints: an 8 KB payload against a 4 KB frame
+  // ceiling. (The ids are out of range too, but the client refuses the
+  // frame before the server could say so.)
+  const std::vector<VertexPair> big(2000, VertexPair{200, 300});
+  auto refused = client.ReachesBatch((*ids)[0], big);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kCapacityExceeded)
+      << refused.status().ToString();
+  // Nothing reached the wire: the same connection keeps serving, and a
+  // batch under the ceiling still gets its answers.
+  EXPECT_TRUE(client.Ping().ok());
+  const std::vector<VertexPair> small_batch(100, VertexPair{0, 1});
+  auto small = client.ReachesBatch((*ids)[0], small_batch);
+  ASSERT_TRUE(small.ok()) << small.status().ToString();
+  EXPECT_EQ(small->size(), 100u);
+  server->Shutdown();
+}
+
 // ----------------------------------------------------- malformed networks --
 
 /// A raw TCP connection for speaking deliberately broken protocol.

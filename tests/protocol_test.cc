@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "src/common/crc32.h"
+#include "src/core/provenance_service.h"
 #include "src/net/protocol.h"
+#include "tests/test_util.h"
 
 namespace skl {
 namespace {
@@ -232,6 +236,108 @@ TEST(ProtocolTest, MalformedErrorPayloadIsAParseError) {
   EXPECT_EQ(decoded.code(), StatusCode::kParseError);
   EXPECT_NE(decoded.message().find("malformed error payload"),
             std::string::npos);
+}
+
+// ------------------------------------------------------ golden bytes --
+//
+// Fixed inputs whose encodings were recorded from the bit-at-a-time codec.
+// A change to any byte on the wire or on disk fails here, whatever the
+// round-trip tests say: both ends of a round trip can drift together.
+
+std::string Hex(std::span<const uint8_t> bytes) {
+  std::string out;
+  char buf[3];
+  for (uint8_t b : bytes) {
+    std::snprintf(buf, sizeof(buf), "%02x", b);
+    out += buf;
+  }
+  return out;
+}
+
+constexpr uint64_t kGoldenRequestId = 300;  // a two-byte varint
+
+/// A v6 kReachesBatch request: run 3, eight pairs spanning one- to
+/// five-byte varints, read LSN 1234, trace id 0x1D2C3B4A5968.
+Frame GoldenBatchRequest() {
+  static constexpr std::pair<uint64_t, uint64_t> kPairs[8] = {
+      {0, 1},         {5, 127},        {128, 300},          {16383, 16384},
+      {2, 2},         {70000, 9},      {uint64_t{1} << 21, 1},
+      {UINT32_MAX, 42}};
+  PayloadWriter payload;
+  payload.U64(3);
+  payload.U64(8);
+  for (const auto& [v, w] : kPairs) {
+    payload.U64(v);
+    payload.U64(w);
+  }
+  payload.U64(1234);
+  payload.U64(0x1D2C3B4A5968ULL);
+  return Frame{kProtocolVersion, MsgType::kReachesBatch, kGoldenRequestId,
+               std::move(payload).Finish()};
+}
+
+/// Its kReply: eight answers.
+Frame GoldenBatchReply() {
+  PayloadWriter payload;
+  payload.U64(8);
+  for (bool answer : {true, false, true, true, false, false, true, false}) {
+    payload.Boolean(answer);
+  }
+  return Frame{kProtocolVersion, MsgType::kReply, kGoldenRequestId,
+               std::move(payload).Finish()};
+}
+
+TEST(ProtocolGoldenTest, ReachesBatchRequestFrameBytes) {
+  ASSERT_EQ(kProtocolVersion, 6) << "a version bump must re-record the "
+                                    "golden frames below";
+  const Frame request = GoldenBatchRequest();
+  const std::vector<uint8_t> wire = Encode(request);
+  EXPECT_EQ(Hex(wire),
+            "534e0000002d0db1cdb70603ac0203080001057f8001ac02ff7f808001"
+            "0202f0a204098080800101ffffffff0f2ad209e8b2a9dac3a507");
+  FrameDecoder decoder;
+  decoder.Feed(wire);
+  auto next = decoder.Next();
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  ASSERT_TRUE(next->has_value());
+  ExpectFramesEqual(**next, request);
+}
+
+TEST(ProtocolGoldenTest, ReachesBatchReplyFrameBytes) {
+  const Frame reply = GoldenBatchReply();
+  const std::vector<uint8_t> wire = Encode(reply);
+  EXPECT_EQ(Hex(wire), "534e0000000df835bfcf0640ac02080100010100000100");
+  FrameDecoder decoder;
+  decoder.Feed(wire);
+  auto next = decoder.Next();
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  ASSERT_TRUE(next->has_value());
+  ExpectFramesEqual(**next, reply);
+}
+
+TEST(ProtocolGoldenTest, ProvenanceStoreBlobChecksum) {
+  // The paper's running example (Figures 2-3) labeled under TCM, plus a
+  // data catalog with one item per writing vertex read by all of its
+  // successors: unaligned label fields and varint catalog columns.
+  testing_util::RunningExample ex = testing_util::MakeRunningExample();
+  DataCatalog catalog;
+  const Digraph& graph = ex.run.graph();
+  for (VertexId u = 0; u < graph.num_vertices(); ++u) {
+    if (graph.OutDegree(u) == 0) continue;
+    const DataItemId item = catalog.AddItem(u);
+    for (VertexId v : graph.OutNeighbors(u)) {
+      ASSERT_TRUE(catalog.AddFlow(item, u, v).ok());
+    }
+  }
+  auto service =
+      ProvenanceService::Create(std::move(ex.spec), SpecSchemeKind::kTcm);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  auto id = service->AddRun(ex.run, &catalog);
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  auto blob = service->ExportRun(*id);
+  ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+  EXPECT_EQ(blob->size(), 93u);
+  EXPECT_EQ(Crc32(*blob), 0x9be4818cu);
 }
 
 }  // namespace

@@ -14,10 +14,10 @@ artifact and fills CURRENT_DIR from this run (docs/BENCHMARKS.md).
 Every metric present on both sides is reported in a markdown delta table
 (written to --summary for $GITHUB_STEP_SUMMARY, and always to stdout).
 Only the *gated* keys fail the job: snapshot_load_*, spec_delta_*,
-query_tcm_ns, net_connscale_*_p99_latency and repl_lag_p50/p99 —
-the snapshot-restore, spec-update-relabel, serving-latency,
-connection-scale tail-latency and replication-lag surfaces this repo
-promises not to regress. A gated
+query_tcm_ns, net_batch_codec_us, net_connscale_*_p99_latency and
+repl_lag_p50/p99 — the snapshot-restore, spec-update-relabel,
+serving-latency, batch wire-codec, connection-scale tail-latency and
+replication-lag surfaces this repo promises not to regress. A gated
 key regresses when it worsens by more than --threshold (default 25%);
 "worsens" respects the unit's direction — UNIT_DIRECTIONS pins it
 explicitly for every unit a gated key uses, and time-like units
@@ -49,7 +49,8 @@ import sys
 SCHEMA_VERSION = 1
 
 GATED_PREFIXES = ("snapshot_load_", "spec_delta_")
-GATED_EXACT = ("query_tcm_ns", "repl_lag_p50", "repl_lag_p99")
+GATED_EXACT = ("query_tcm_ns", "net_batch_codec_us", "repl_lag_p50",
+               "repl_lag_p99")
 #: Formerly gated keys whose bench row was deliberately deleted: a baseline
 #: that still carries one reports it as "retired" rather than "removed".
 #: query_cache_hit_ns: the query result cache was removed; query_tcm_ns
@@ -147,7 +148,8 @@ def main():
     lines = [
         f"### Bench comparison (gate: ±{args.threshold:.0%} on "
         "`snapshot_load_*`, `spec_delta_*`, `query_tcm_ns`, "
-        "`net_connscale_*_p99_latency`, `repl_lag_p50/p99`)",
+        "`net_batch_codec_us`, `net_connscale_*_p99_latency`, "
+        "`repl_lag_p50/p99`)",
         "",
         "| metric | baseline | current | delta | gate |",
         "|---|---:|---:|---:|---|",
