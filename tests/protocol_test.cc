@@ -8,12 +8,17 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "src/common/crc32.h"
+#include "src/common/temp_path.h"
 #include "src/core/provenance_service.h"
+#include "src/io/workflow_xml.h"
 #include "src/net/protocol.h"
+#include "src/replication/oplog.h"
 #include "tests/test_util.h"
 
 namespace skl {
@@ -338,6 +343,77 @@ TEST(ProtocolGoldenTest, ProvenanceStoreBlobChecksum) {
   ASSERT_TRUE(blob.ok()) << blob.status().ToString();
   EXPECT_EQ(blob->size(), 93u);
   EXPECT_EQ(Crc32(*blob), 0x9be4818cu);
+}
+
+TEST(ProtocolGoldenTest, ErrorPayloadBytes) {
+  // kNotFound (4), "run 7", trace id 0x1234 (a two-byte varint).
+  const std::vector<uint8_t> payload =
+      EncodeErrorPayload(Status::NotFound("run 7"), 0x1234);
+  EXPECT_EQ(Hex(payload), "040572756e2037b424");
+  uint64_t trace = 0;
+  Status decoded = DecodeErrorPayload(payload, &trace);
+  EXPECT_EQ(decoded.code(), StatusCode::kNotFound);
+  EXPECT_EQ(decoded.message(), "run 7");
+  EXPECT_EQ(trace, 0x1234u);
+}
+
+/// Appends a fresh module after the current sink: always a valid delta.
+SpecDelta GoldenDelta() {
+  SpecDelta delta;
+  delta.kind = SpecDelta::Kind::kAddModule;
+  delta.module = "audit";
+  delta.from = {"h"};
+  return delta;
+}
+
+TEST(ProtocolGoldenTest, SnapshotBytesChecksum) {
+  // The running example under TCM with one run at epoch 1, then one spec
+  // delta: spec, scheme, epoch chain, run index and label columns.
+  testing_util::RunningExample ex = testing_util::MakeRunningExample();
+  auto service =
+      ProvenanceService::Create(std::move(ex.spec), SpecSchemeKind::kTcm);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  ASSERT_TRUE(service->AddRun(ex.run).ok());
+  auto epoch = service->ApplySpecDelta(GoldenDelta());
+  ASSERT_TRUE(epoch.ok()) << epoch.status().ToString();
+  ASSERT_EQ(*epoch, 2u);
+  auto bytes = service->SnapshotBytes();
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  EXPECT_EQ(bytes->size(), 1024u);
+  EXPECT_EQ(Crc32(*bytes), 0x6359743au);
+}
+
+TEST(ProtocolGoldenTest, OpLogFileChecksum) {
+  // One entry of every kind a live service appends: add, import, remove,
+  // spec delta.
+  const std::string path = PidQualifiedTempPath("golden_oplog", ".skllog");
+  std::filesystem::remove(path);
+  testing_util::RunningExample ex = testing_util::MakeRunningExample();
+  auto service =
+      ProvenanceService::Create(std::move(ex.spec), SpecSchemeKind::kTcm);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  OpLog::Options options;
+  options.fsync = false;
+  auto log = OpLog::Open(path, WriteSpecificationXml(service->base_spec()),
+                         std::string(service->scheme().name()), options);
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  service->AttachOpLog(log->get());
+  auto added = service->AddRun(ex.run);
+  ASSERT_TRUE(added.ok()) << added.status().ToString();
+  auto blob = service->ExportRun(*added);
+  ASSERT_TRUE(blob.ok());
+  ASSERT_TRUE(service->ImportRun(*blob).ok());
+  ASSERT_TRUE(service->RemoveRun(*added).ok());
+  ASSERT_TRUE(service->ApplySpecDelta(GoldenDelta()).ok());
+  ASSERT_EQ((*log)->last_lsn(), 4u);
+  service->AttachOpLog(nullptr);
+  log->reset();
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<uint8_t> file((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+  EXPECT_EQ(file.size(), 739u);
+  EXPECT_EQ(Crc32(file), 0x22ae142cu);
+  std::filesystem::remove(path);
 }
 
 }  // namespace
