@@ -35,7 +35,7 @@ Result<std::vector<RunLabel>> DecodeLabels(const EncodedLabels& encoded) {
 Result<std::vector<RunLabel>> DecodeLabels(
     const std::vector<uint8_t>& bytes) {
   BitReader reader(bytes);
-  uint64_t n, q_bits, o_bits;
+  uint64_t n = 0, q_bits = 0, o_bits = 0;
   SKL_RETURN_NOT_OK(reader.ReadVarint(&n));
   SKL_RETURN_NOT_OK(reader.ReadVarint(&q_bits));
   SKL_RETURN_NOT_OK(reader.ReadVarint(&o_bits));

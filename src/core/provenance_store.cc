@@ -9,8 +9,7 @@ namespace skl {
 
 namespace {
 constexpr uint32_t kMagic = 0x534b4c50;  // "SKLP"
-// v1: untagged. v2 adds the scheme tag right after the version varint; the
-// rest of the layout is bit-identical to v1, so v1 blobs keep loading.
+// The only blob version written and read.
 constexpr uint32_t kVersion = 2;
 constexpr uint64_t kMaxSchemeTagBytes = 256;
 }  // namespace
@@ -165,24 +164,23 @@ Result<ProvenanceStore> ProvenanceStore::Deserialize(
 Result<ProvenanceStore> ProvenanceStore::Deserialize(
     std::span<const uint8_t> bytes) {
   BitReader reader(bytes.data(), bytes.size());
-  uint64_t magic, version, n, q_bits, o_bits;
+  uint64_t magic = 0, version = 0, tag_len = 0, n = 0, q_bits = 0, o_bits = 0;
   SKL_RETURN_NOT_OK(reader.Read(32, &magic));
   if (magic != kMagic) return Status::ParseError("not a provenance store");
   SKL_RETURN_NOT_OK(reader.ReadVarint(&version));
-  if (version != 1 && version != kVersion) {
-    return Status::ParseError("unsupported store version");
+  if (version != kVersion) {
+    return Status::ParseError("unsupported store version " +
+                              std::to_string(version) + " (this build reads "
+                              "version " + std::to_string(kVersion) + " only)");
   }
   ProvenanceStore store;
-  if (version >= 2) {
-    uint64_t tag_len;
-    SKL_RETURN_NOT_OK(reader.ReadVarint(&tag_len));
-    if (tag_len > kMaxSchemeTagBytes) {
-      return Status::ParseError("corrupt store header (scheme tag too long)");
-    }
-    std::span<const uint8_t> tag;
-    SKL_RETURN_NOT_OK(reader.ReadBytes(tag_len, &tag));
-    store.scheme_tag_.assign(tag.begin(), tag.end());
+  SKL_RETURN_NOT_OK(reader.ReadVarint(&tag_len));
+  if (tag_len > kMaxSchemeTagBytes) {
+    return Status::ParseError("corrupt store header (scheme tag too long)");
   }
+  std::span<const uint8_t> tag;
+  SKL_RETURN_NOT_OK(reader.ReadBytes(tag_len, &tag));
+  store.scheme_tag_.assign(tag.begin(), tag.end());
   SKL_RETURN_NOT_OK(reader.ReadVarint(&n));
   SKL_RETURN_NOT_OK(reader.ReadVarint(&q_bits));
   SKL_RETURN_NOT_OK(reader.ReadVarint(&o_bits));
@@ -202,7 +200,7 @@ Result<ProvenanceStore> ProvenanceStore::Deserialize(
   uint32_t* col_q3 = col_q2 + n;
   uint32_t* col_origin = col_q3 + n;
   for (uint64_t v = 0; v < n; ++v) {
-    uint64_t q1, q2, q3, origin;
+    uint64_t q1 = 0, q2 = 0, q3 = 0, origin = 0;
     SKL_RETURN_NOT_OK(reader.Read(static_cast<int>(q_bits), &q1));
     SKL_RETURN_NOT_OK(reader.Read(static_cast<int>(q_bits), &q2));
     SKL_RETURN_NOT_OK(reader.Read(static_cast<int>(q_bits), &q3));
@@ -212,7 +210,7 @@ Result<ProvenanceStore> ProvenanceStore::Deserialize(
     col_q3[v] = static_cast<uint32_t>(q3);
     col_origin[v] = static_cast<uint32_t>(origin);
   }
-  uint64_t items;
+  uint64_t items = 0;
   SKL_RETURN_NOT_OK(reader.ReadVarint(&items));
   if (items > bytes.size()) {
     return Status::ParseError("corrupt store header");
@@ -221,14 +219,14 @@ Result<ProvenanceStore> ProvenanceStore::Deserialize(
   std::vector<uint32_t> offsets(items + 1, 0);
   std::vector<uint32_t> readers;
   for (uint64_t x = 0; x < items; ++x) {
-    uint64_t writer_v, n_readers;
+    uint64_t writer_v = 0, n_readers = 0;
     SKL_RETURN_NOT_OK(reader.ReadVarint(&writer_v));
     if (writer_v >= n) return Status::ParseError("item writer out of range");
     writers[x] = static_cast<uint32_t>(writer_v);
     SKL_RETURN_NOT_OK(reader.ReadVarint(&n_readers));
     if (n_readers > n) return Status::ParseError("reader count out of range");
     for (uint64_t r = 0; r < n_readers; ++r) {
-      uint64_t reader_v;
+      uint64_t reader_v = 0;
       SKL_RETURN_NOT_OK(reader.ReadVarint(&reader_v));
       if (reader_v >= n) {
         return Status::ParseError("item reader out of range");

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string_view>
@@ -147,9 +146,9 @@ std::vector<uint8_t> SnapshotWriter::Finish() && {
   }
   BitWriter writer;
   writer.Write(kMagic, 32);
-  writer.WriteVarint(format_version_);
+  writer.WriteVarint(kSnapshotFormatVersion);
   writer.WriteVarint(n_sections);
-  size_t offset = 4 + VarintLen(format_version_) + VarintLen(n_sections);
+  size_t offset = 4 + VarintLen(kSnapshotFormatVersion) + VarintLen(n_sections);
   for (const PendingSection& s : sections_) {
     const size_t header_len = VarintLen(s.id) + VarintLen(s.payload.size()) + 4;
     if (s.aligned) {
@@ -241,13 +240,12 @@ Result<SnapshotReader> SnapshotReader::ParseBacking(
   if (!reader.ReadVarint(&version).ok() || !reader.ReadVarint(&count).ok()) {
     return Status::ParseError("snapshot truncated: incomplete header");
   }
-  if (version == 0 || version > kSnapshotFormatVersion) {
+  if (version != kSnapshotFormatVersion) {
     return Status::ParseError(
         "unsupported snapshot format version " + std::to_string(version) +
-        " (this build reads versions 1.." +
-        std::to_string(kSnapshotFormatVersion) + ")");
+        " (this build reads version " +
+        std::to_string(kSnapshotFormatVersion) + " only)");
   }
-  snapshot.format_version_ = static_cast<uint32_t>(version);
   // The count is corruption-controlled: cap the reserve at what the file
   // could physically hold (>= 6 header bytes per section) so a crafted
   // varint yields ParseError below, not a length_error/bad_alloc abort.
@@ -347,26 +345,16 @@ Result<std::span<const uint8_t>> SnapshotReader::Section(uint32_t id) const {
 // The service-level encoding (defined here so the spec-XML and scheme-name
 // dependencies stay inside src/io):
 //
-//   section kSnapshotSectionSpec    spec XML (WriteSpecificationXml)
+//   section kSnapshotSectionSpec    spec XML (WriteSpecificationXml) of
+//     the creation (epoch 1) specification
 //   section kSnapshotSectionScheme  canonical scheme name ("TCM", ...)
-//
-// and then, format version 1 (what SaveSnapshotAtVersion(path, 1) still
-// writes; every v1 file keeps loading):
-//
-//   section kSnapshotSectionRuns    varint next_id, varint run count, then
-//     per run in ascending id order: varint id, the RunStats fields
-//     (num_vertices, num_items, label_bits, context_bits, origin_bits,
-//     num_nonempty_plus, imported), varint blob length, and the
-//     ProvenanceStore blob (which carries its own magic + version).
-//
-// or format version 2 (the default), which splits the registry into a
-// small index and one aligned columnar payload the loader can view in
-// place (the mmap path maps it read-only and copies nothing):
-//
+//   section kSnapshotSectionEpochs  varint chain length, then per epoch >= 2
+//     its number, varint delta length and the SerializeSpecDelta bytes
 //   section kSnapshotSectionRunIndex  varint next_id, varint run count,
 //     then per run in ascending id order: varint id, the RunStats fields
-//     as in v1, varint reader-entry count, varint scheme-tag length + tag
-//     bytes.
+//     (num_vertices, num_items, label_bits, context_bits, origin_bits,
+//     num_nonempty_plus, imported, epoch), varint reader-entry count,
+//     varint scheme-tag length + tag bytes.
 //   section kSnapshotSectionColumns (aligned)  a 16-byte header of u32-LE
 //     totals (vertices, items, offset entries, reader entries), then seven
 //     u32-LE columns, each starting at a 64-byte multiple relative to the
@@ -374,15 +362,15 @@ Result<std::span<const uint8_t>> SnapshotReader::Section(uint32_t id) const {
 //     concatenated in id order), WRITERS (item writers), OFFSETS (per-run
 //     CSR offset arrays, run-local values, num_items+1 entries per run),
 //     READERS (CSR reader entries). A run's columns are the contiguous
-//     slices at its cumulative base.
+//     slices at its cumulative base, so the loader can view them in place
+//     (the mmap path maps the file read-only and copies nothing).
 //
 // The scheme itself is not serialized: every bundled scheme builds
 // deterministically from the specification graph, so rebuilding on load
 // yields bit-identical skeleton labels — and therefore bit-identical query
 // answers — at a fraction of the snapshot size.
 
-Result<SnapshotWriter> ProvenanceService::BuildSnapshotWriter(
-    uint32_t format_version) const {
+Result<SnapshotWriter> ProvenanceService::BuildSnapshotWriter() const {
   const std::string_view scheme_name = scheme().name();
   if (!ParseSpecSchemeKind(scheme_name).ok()) {
     return Status::InvalidArgument(
@@ -404,14 +392,7 @@ Result<SnapshotWriter> ProvenanceService::BuildSnapshotWriter(
       deltas.emplace_back(e.number, SerializeSpecDelta(e.delta));
     }
   }
-  if (format_version < 3 && epoch_count > 1) {
-    return Status::InvalidArgument(
-        "cannot write snapshot format version " +
-        std::to_string(format_version) + ": the service is at spec epoch " +
-        std::to_string(epoch_count) +
-        " and only format 3+ records the epoch chain");
-  }
-  SnapshotWriter writer(format_version);
+  SnapshotWriter writer;
   // The Spec section always holds the *creation* (epoch 1) specification;
   // the Epochs section replays the deltas on load.
   const std::string spec_xml = WriteSpecificationXml(base_spec());
@@ -420,18 +401,14 @@ Result<SnapshotWriter> ProvenanceService::BuildSnapshotWriter(
   writer.AddSection(
       kSnapshotSectionScheme,
       std::vector<uint8_t>(scheme_name.begin(), scheme_name.end()));
-  if (format_version >= 3) {
-    // Epochs section: varint chain length, then per epoch >= 2 its number
-    // and the serialized delta that produced it.
-    BitWriter epochs;
-    epochs.WriteVarint(epoch_count);
-    for (const auto& [number, blob] : deltas) {
-      epochs.WriteVarint(number);
-      epochs.WriteVarint(blob.size());
-      epochs.WriteBytes(blob);
-    }
-    writer.AddSection(kSnapshotSectionEpochs, epochs.Finish());
+  BitWriter epochs;
+  epochs.WriteVarint(epoch_count);
+  for (const auto& [number, blob] : deltas) {
+    epochs.WriteVarint(number);
+    epochs.WriteVarint(blob.size());
+    epochs.WriteBytes(blob);
   }
+  writer.AddSection(kSnapshotSectionEpochs, epochs.Finish());
 
   // Compose the registry view shard by shard under each shard's read lock
   // — no stop-the-world pass, so queries keep answering while the snapshot
@@ -458,31 +435,6 @@ Result<SnapshotWriter> ProvenanceService::BuildSnapshotWriter(
   std::sort(saved.begin(), saved.end(),
             [](const SavedRun& a, const SavedRun& b) { return a.id < b.id; });
 
-  if (format_version == 1) {
-    BitWriter runs;
-    runs.WriteVarint(next_id);
-    runs.WriteVarint(saved.size());
-    for (SavedRun& r : saved) {
-      runs.WriteVarint(r.id);
-      const RunStats& s = r.stats;
-      runs.WriteVarint(s.num_vertices);
-      runs.WriteVarint(s.num_items);
-      runs.WriteVarint(s.label_bits);
-      runs.WriteVarint(s.context_bits);
-      runs.WriteVarint(s.origin_bits);
-      runs.WriteVarint(s.num_nonempty_plus);
-      runs.WriteVarint(s.imported ? 1 : 0);
-      const std::vector<uint8_t> blob = r.store.Serialize();
-      runs.WriteVarint(blob.size());
-      runs.WriteBytes(blob);
-      // Release the copied store early; peak memory stays ~one registry.
-      r.store = ProvenanceStore();
-    }
-    writer.AddSection(kSnapshotSectionRuns, runs.Finish());
-    return writer;
-  }
-
-  // v2: run index + one aligned columnar payload.
   uint64_t total_vertices = 0, total_items = 0, total_offsets = 0,
            total_readers = 0;
   for (const SavedRun& r : saved) {
@@ -510,7 +462,7 @@ Result<SnapshotWriter> ProvenanceService::BuildSnapshotWriter(
     index.WriteVarint(s.origin_bits);
     index.WriteVarint(s.num_nonempty_plus);
     index.WriteVarint(s.imported ? 1 : 0);
-    if (format_version >= 3) index.WriteVarint(s.epoch);
+    index.WriteVarint(s.epoch);
     index.WriteVarint(r.store.num_reader_entries());
     const std::string& tag = r.store.scheme_tag();
     index.WriteVarint(tag.size());
@@ -568,19 +520,7 @@ Result<SnapshotWriter> ProvenanceService::BuildSnapshotWriter(
 }
 
 Status ProvenanceService::SaveSnapshot(const std::string& path) const {
-  return SaveSnapshotAtVersion(path, kSnapshotFormatVersion);
-}
-
-Status ProvenanceService::SaveSnapshotAtVersion(const std::string& path,
-                                                uint32_t format_version) const {
-  if (format_version == 0 || format_version > kSnapshotFormatVersion) {
-    return Status::InvalidArgument(
-        "cannot write snapshot format version " +
-        std::to_string(format_version) + " (this build writes versions 1.." +
-        std::to_string(kSnapshotFormatVersion) + ")");
-  }
-  SKL_ASSIGN_OR_RETURN(SnapshotWriter writer,
-                       BuildSnapshotWriter(format_version));
+  SKL_ASSIGN_OR_RETURN(SnapshotWriter writer, BuildSnapshotWriter());
   Status written = std::move(writer).WriteFile(path);
   if (written.ok()) {
     counters_->snapshot_saves.fetch_add(1, std::memory_order_relaxed);
@@ -592,15 +532,14 @@ Result<std::vector<uint8_t>> ProvenanceService::SnapshotBytes() const {
   // The replication bootstrap path (kSnapshotFetch): same encoding as
   // SaveSnapshot, but handed back as bytes for the wire instead of a file,
   // and not counted as a snapshot save — nothing durable happened here.
-  SKL_ASSIGN_OR_RETURN(SnapshotWriter writer,
-                       BuildSnapshotWriter(kSnapshotFormatVersion));
+  SKL_ASSIGN_OR_RETURN(SnapshotWriter writer, BuildSnapshotWriter());
   return std::move(writer).Finish();
 }
 
 Result<ProvenanceService> ProvenanceService::LoadSnapshot(
     const std::string& path, Options options,
     SnapshotLoadOptions load_options) {
-  if (load_options.use_mmap && std::getenv("SKL_NO_MMAP") == nullptr) {
+  if (load_options.use_mmap) {
     Result<SnapshotReader> mapped = SnapshotReader::MapFile(path);
     if (mapped.ok()) {
       return LoadFromSnapshotReader(std::move(mapped).value(),
@@ -645,159 +584,52 @@ Result<ProvenanceService> ProvenanceService::LoadFromSnapshotReader(
   SKL_ASSIGN_OR_RETURN(ProvenanceService service,
                        Create(std::move(spec), kind, options));
 
-  // v3: replay the recorded delta chain before any run is restored, so
-  // every run's ingest epoch resolves to a live chain entry. Replay goes
-  // through the replica path — chain continuity is enforced and nothing is
+  // Replay the recorded delta chain before any run is restored, so every
+  // run's ingest epoch resolves to a live chain entry. Replay goes through
+  // the replica path — chain continuity is enforced and nothing is
   // re-logged.
-  if (reader.Has(kSnapshotSectionEpochs)) {
-    SKL_ASSIGN_OR_RETURN(std::span<const uint8_t> epoch_bytes,
-                         reader.Section(kSnapshotSectionEpochs));
-    BitReader epochs(epoch_bytes.data(), epoch_bytes.size());
-    uint64_t chain_len = 0;
-    SKL_RETURN_NOT_OK(epochs.ReadVarint(&chain_len));
-    if (chain_len == 0) {
-      return Status::ParseError("snapshot epoch chain: length is zero");
-    }
-    for (uint64_t number = 2; number <= chain_len; ++number) {
-      uint64_t recorded = 0, blob_len = 0;
-      std::span<const uint8_t> blob;
-      if (!epochs.ReadVarint(&recorded).ok() ||
-          !epochs.ReadVarint(&blob_len).ok() ||
-          !epochs.ReadBytes(static_cast<size_t>(blob_len), &blob).ok()) {
-        return Status::ParseError(
-            "snapshot epoch chain truncated at epoch " +
-            std::to_string(number));
-      }
-      if (recorded != number) {
-        return Status::ParseError(
-            "snapshot epoch chain out of order: expected epoch " +
-            std::to_string(number) + ", found " + std::to_string(recorded));
-      }
-      SKL_ASSIGN_OR_RETURN(SpecDelta delta, DeserializeSpecDelta(blob));
-      Status applied = service.ApplySpecDeltaReplicated(delta, number);
-      if (!applied.ok()) {
-        return Status::ParseError(
-            "snapshot epoch " + std::to_string(number) +
-            " does not replay: " + applied.message());
-      }
-    }
-    epochs.AlignToByte();
-    if (epochs.bit_position() / 8 != epoch_bytes.size()) {
-      return Status::ParseError(
-          "snapshot epoch chain has trailing bytes after the declared "
-          "deltas");
-    }
+  SKL_ASSIGN_OR_RETURN(std::span<const uint8_t> epoch_bytes,
+                       reader.Section(kSnapshotSectionEpochs));
+  BitReader epochs(epoch_bytes.data(), epoch_bytes.size());
+  uint64_t chain_len = 0;
+  SKL_RETURN_NOT_OK(epochs.ReadVarint(&chain_len));
+  if (chain_len == 0) {
+    return Status::ParseError("snapshot epoch chain: length is zero");
   }
-
-  const std::string_view scheme_name = service.scheme().name();
-  const VertexId n_g = service.base_spec().graph().num_vertices();
-
-  if (reader.Has(kSnapshotSectionRunIndex)) {
-    SKL_RETURN_NOT_OK(
-        LoadColumnarRuns(reader, scheme_name, n_g, &service));
-    return service;
-  }
-
-  SKL_ASSIGN_OR_RETURN(std::span<const uint8_t> runs_bytes,
-                       reader.Section(kSnapshotSectionRuns));
-  BitReader runs(runs_bytes.data(), runs_bytes.size());
-  uint64_t next_id = 0, count = 0;
-  SKL_RETURN_NOT_OK(runs.ReadVarint(&next_id));
-  SKL_RETURN_NOT_OK(runs.ReadVarint(&count));
-  if (next_id == 0) {
-    return Status::ParseError("snapshot run registry: id counter is zero");
-  }
-  // Declared-count vs payload mismatches are checked at the end of the
-  // loop: unread runs would vanish silently from the restored registry.
-  uint64_t prev_id = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t id = 0, num_vertices = 0, num_items = 0, label_bits = 0,
-             context_bits = 0, origin_bits = 0, num_nonempty_plus = 0,
-             imported = 0, blob_len = 0;
-    SKL_RETURN_NOT_OK(runs.ReadVarint(&id));
-    SKL_RETURN_NOT_OK(runs.ReadVarint(&num_vertices));
-    SKL_RETURN_NOT_OK(runs.ReadVarint(&num_items));
-    SKL_RETURN_NOT_OK(runs.ReadVarint(&label_bits));
-    SKL_RETURN_NOT_OK(runs.ReadVarint(&context_bits));
-    SKL_RETURN_NOT_OK(runs.ReadVarint(&origin_bits));
-    SKL_RETURN_NOT_OK(runs.ReadVarint(&num_nonempty_plus));
-    SKL_RETURN_NOT_OK(runs.ReadVarint(&imported));
-    SKL_RETURN_NOT_OK(runs.ReadVarint(&blob_len));
-    if (id <= prev_id || id >= next_id) {
-      return Status::ParseError(
-          "snapshot run registry: run id " + std::to_string(id) +
-          " out of order or beyond the id counter");
-    }
-    if (imported > 1) {
-      return Status::ParseError("snapshot run registry: bad imported flag");
-    }
-    // The stats fields restore into uint32_t; a crafted varint must not
-    // silently truncate into a plausible-looking value.
-    if (label_bits > UINT32_MAX || context_bits > UINT32_MAX ||
-        origin_bits > UINT32_MAX || num_nonempty_plus > UINT32_MAX) {
-      return Status::ParseError("snapshot run " + std::to_string(id) +
-                                ": stats field out of range");
-    }
+  for (uint64_t number = 2; number <= chain_len; ++number) {
+    uint64_t recorded = 0, blob_len = 0;
     std::span<const uint8_t> blob;
-    SKL_RETURN_NOT_OK(runs.ReadBytes(blob_len, &blob));
-    SKL_ASSIGN_OR_RETURN(ProvenanceStore store,
-                         ProvenanceStore::Deserialize(blob));
-    if (store.num_vertices() != num_vertices ||
-        store.num_items() != num_items) {
+    if (!epochs.ReadVarint(&recorded).ok() ||
+        !epochs.ReadVarint(&blob_len).ok() ||
+        !epochs.ReadBytes(static_cast<size_t>(blob_len), &blob).ok()) {
+      return Status::ParseError("snapshot epoch chain truncated at epoch " +
+                                std::to_string(number));
+    }
+    if (recorded != number) {
       return Status::ParseError(
-          "snapshot run " + std::to_string(id) +
-          ": stats disagree with the stored labels/catalog");
+          "snapshot epoch chain out of order: expected epoch " +
+          std::to_string(number) + ", found " + std::to_string(recorded));
     }
-    if (!store.scheme_tag().empty() && store.scheme_tag() != scheme_name) {
-      return Status::ParseError(
-          "snapshot run " + std::to_string(id) +
-          " was labeled under scheme '" + store.scheme_tag() +
-          "', but the snapshot's scheme is '" + std::string(scheme_name) +
-          "'");
+    SKL_ASSIGN_OR_RETURN(SpecDelta delta, DeserializeSpecDelta(blob));
+    Status applied = service.ApplySpecDeltaReplicated(delta, number);
+    if (!applied.ok()) {
+      return Status::ParseError("snapshot epoch " + std::to_string(number) +
+                                " does not replay: " + applied.message());
     }
-    // Same guard as ImportRun: every origin must name a spec vertex, or
-    // queries would index the rebuilt scheme out of range.
-    for (VertexId v = 0; v < store.num_vertices(); ++v) {
-      if (store.label(v).origin >= n_g) {
-        return Status::ParseError(
-            "snapshot run " + std::to_string(id) + " references spec vertex " +
-            std::to_string(store.label(v).origin) +
-            " unknown to the snapshotted specification");
-      }
-    }
-    RunRecord record;
-    record.stats.num_vertices = static_cast<VertexId>(num_vertices);
-    record.stats.num_items = static_cast<size_t>(num_items);
-    record.stats.label_bits = static_cast<uint32_t>(label_bits);
-    record.stats.context_bits = static_cast<uint32_t>(context_bits);
-    record.stats.origin_bits = static_cast<uint32_t>(origin_bits);
-    record.stats.num_nonempty_plus = static_cast<uint32_t>(num_nonempty_plus);
-    record.stats.imported = imported != 0;
-    // The v1 runs section predates epochs: every run is epoch 1.
-    const SpecEpoch* at = service.FindEpoch(1);
-    record.stats.epoch = 1;
-    record.spec = at->spec.get();
-    record.scheme = at->scheme.get();
-    record.store = std::move(store);
-    if (!service.registry_->Restore(id, std::move(record))) {
-      return Status::ParseError("snapshot run registry: duplicate run id " +
-                                std::to_string(id));
-    }
-    prev_id = id;
   }
-  if (runs.bit_position() != runs_bytes.size() * 8) {
+  epochs.AlignToByte();
+  if (epochs.bit_position() / 8 != epoch_bytes.size()) {
     return Status::ParseError(
-        "snapshot run registry has trailing bytes after the declared runs");
+        "snapshot epoch chain has trailing bytes after the declared deltas");
   }
-  service.registry_->SetNextId(next_id);
+
+  SKL_RETURN_NOT_OK(LoadColumnarRuns(reader, &service));
   return service;
 }
 
 Status ProvenanceService::LoadColumnarRuns(const SnapshotReader& reader,
-                                           std::string_view scheme_name,
-                                           VertexId n_g,
                                            ProvenanceService* service) {
-  (void)n_g;  // origin checks are per-run-epoch since format v3
+  const std::string_view scheme_name = service->scheme().name();
   SKL_ASSIGN_OR_RETURN(std::span<const uint8_t> index_bytes,
                        reader.Section(kSnapshotSectionRunIndex));
   BitReader index(index_bytes.data(), index_bytes.size());
@@ -822,7 +654,7 @@ Status ProvenanceService::LoadColumnarRuns(const SnapshotReader& reader,
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t id = 0, num_vertices = 0, num_items = 0, label_bits = 0,
              context_bits = 0, origin_bits = 0, num_nonempty_plus = 0,
-             imported = 0, epoch = 1, readers_total = 0, tag_len = 0;
+             imported = 0, epoch = 0, readers_total = 0, tag_len = 0;
     SKL_RETURN_NOT_OK(index.ReadVarint(&id));
     SKL_RETURN_NOT_OK(index.ReadVarint(&num_vertices));
     SKL_RETURN_NOT_OK(index.ReadVarint(&num_items));
@@ -831,9 +663,7 @@ Status ProvenanceService::LoadColumnarRuns(const SnapshotReader& reader,
     SKL_RETURN_NOT_OK(index.ReadVarint(&origin_bits));
     SKL_RETURN_NOT_OK(index.ReadVarint(&num_nonempty_plus));
     SKL_RETURN_NOT_OK(index.ReadVarint(&imported));
-    if (reader.format_version() >= 3) {
-      SKL_RETURN_NOT_OK(index.ReadVarint(&epoch));
-    }
+    SKL_RETURN_NOT_OK(index.ReadVarint(&epoch));
     SKL_RETURN_NOT_OK(index.ReadVarint(&readers_total));
     SKL_RETURN_NOT_OK(index.ReadVarint(&tag_len));
     if (id <= prev_id || id >= next_id) {

@@ -261,6 +261,16 @@ Result<std::vector<uint8_t>> ProvenanceClient::Receive(uint64_t request_id,
     }
     if (next->has_value()) {
       Frame frame = std::move(**next);
+      uint64_t trace = 0;
+      if (frame.type == MsgType::kError && frame.request_id == 0) {
+        // The server's last word before it closes a connection whose
+        // stream it could not frame (e.g. a request over its frame limit):
+        // no request is being answered, so report the server's reason.
+        const Status reason = DecodeErrorPayload(frame.payload, &trace);
+        return Poison(Status(reason.code(),
+                             "server closed the connection: " +
+                                 reason.message()));
+      }
       if (frame.request_id != request_id) {
         return Poison(Status::ParseError(
             "response answers request " + std::to_string(frame.request_id) +
@@ -268,13 +278,8 @@ Result<std::vector<uint8_t>> ProvenanceClient::Receive(uint64_t request_id,
             " (pipelining misuse or desynchronized stream)"));
       }
       if (frame.type == MsgType::kError) {
-        // The service-level error; the connection stays usable. v5 error
-        // payloads additionally echo the request's trace id.
-        if (frame.version >= 5) {
-          uint64_t trace = 0;
-          return DecodeErrorPayload(frame.payload, &trace);
-        }
-        return DecodeErrorPayload(frame.payload);
+        // The service-level error; the connection stays usable.
+        return DecodeErrorPayload(frame.payload, &trace);
       }
       if (frame.type == MsgType::kRetryAt) {
         // The replica is behind the read token; the connection stays
@@ -432,7 +437,7 @@ Result<bool> ProvenanceClient::DataDependsOnModule(RunId id, DataItemId x,
   return DecodeBool(reply);
 }
 
-/// Decodes the v3 mutating-reply tail: the primary's ack LSN.
+/// Decodes a mutating reply: the value, then the primary's ack LSN.
 Result<RunId> ProvenanceClient::DecodeMutationReply(
     std::span<const uint8_t> payload) {
   PayloadReader reader(payload);

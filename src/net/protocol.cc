@@ -215,13 +215,6 @@ Status PayloadReader::ExpectEnd() {
   return Status::OK();
 }
 
-std::vector<uint8_t> EncodeErrorPayload(const Status& status) {
-  PayloadWriter writer;
-  writer.U64(static_cast<uint64_t>(status.code()));
-  writer.Str(status.message());
-  return std::move(writer).Finish();
-}
-
 std::vector<uint8_t> EncodeErrorPayload(const Status& status,
                                         uint64_t trace_id) {
   PayloadWriter writer;
@@ -231,37 +224,22 @@ std::vector<uint8_t> EncodeErrorPayload(const Status& status,
   return std::move(writer).Finish();
 }
 
-namespace {
-
-/// Shared body of the two DecodeErrorPayload forms: `trace_id` non-null
-/// means the v5 shape (trailing trace-id varint) is expected.
-Status DecodeErrorPayloadImpl(std::span<const uint8_t> payload,
-                              uint64_t* trace_id) {
+Status DecodeErrorPayload(std::span<const uint8_t> payload,
+                          uint64_t* trace_id) {
+  *trace_id = 0;
   PayloadReader reader(payload);
-  Result<uint64_t> code_result = reader.U64();
-  if (!code_result.ok()) {
-    return Status::ParseError("malformed error payload: " +
-                              code_result.status().message());
+  uint64_t code = 0, trace = 0;
+  std::string message;
+  const Status parsed = [&]() -> Status {
+    SKL_ASSIGN_OR_RETURN(code, reader.U64());
+    SKL_ASSIGN_OR_RETURN(message, reader.Str());
+    SKL_ASSIGN_OR_RETURN(trace, reader.U64());
+    return reader.ExpectEnd();
+  }();
+  if (!parsed.ok()) {
+    return Status::ParseError("malformed error payload: " + parsed.message());
   }
-  const uint64_t code = *code_result;
-  Result<std::string> message_result = reader.Str();
-  if (!message_result.ok()) {
-    return Status::ParseError("malformed error payload: " +
-                              message_result.status().message());
-  }
-  std::string message = std::move(message_result).value();
-  if (trace_id != nullptr) {
-    Result<uint64_t> trace_result = reader.U64();
-    if (!trace_result.ok()) {
-      return Status::ParseError("malformed error payload: " +
-                                trace_result.status().message());
-    }
-    *trace_id = *trace_result;
-  }
-  Status end = reader.ExpectEnd();
-  if (!end.ok()) {
-    return Status::ParseError("malformed error payload: " + end.message());
-  }
+  *trace_id = trace;
   if (code == static_cast<uint64_t>(StatusCode::kOk) ||
       code > static_cast<uint64_t>(StatusCode::kEpochMismatch)) {
     // An error frame must carry an error; map codes from a future peer to
@@ -271,18 +249,6 @@ Status DecodeErrorPayloadImpl(std::span<const uint8_t> payload,
                       ": " + message);
   }
   return Status(static_cast<StatusCode>(code), std::move(message));
-}
-
-}  // namespace
-
-Status DecodeErrorPayload(std::span<const uint8_t> payload) {
-  return DecodeErrorPayloadImpl(payload, nullptr);
-}
-
-Status DecodeErrorPayload(std::span<const uint8_t> payload,
-                          uint64_t* trace_id) {
-  *trace_id = 0;
-  return DecodeErrorPayloadImpl(payload, trace_id);
 }
 
 }  // namespace skl

@@ -94,7 +94,7 @@ std::vector<uint8_t> EncodeFilePrefix(const std::string& spec_xml,
 
 // ------------------------------------------------------- entry payloads --
 
-std::vector<uint8_t> SerializeLogOp(const LogOp& op, uint32_t version) {
+std::vector<uint8_t> SerializeLogOp(const LogOp& op) {
   BitWriter writer;
   writer.WriteVarint(op.lsn);
   writer.Write(static_cast<uint8_t>(op.kind), 8);
@@ -110,7 +110,7 @@ std::vector<uint8_t> SerializeLogOp(const LogOp& op, uint32_t version) {
       writer.WriteVarint(s.origin_bits);
       writer.WriteVarint(s.num_nonempty_plus);
       writer.WriteVarint(s.imported ? 1 : 0);
-      if (version >= 2) writer.WriteVarint(s.epoch);
+      writer.WriteVarint(s.epoch);
       writer.WriteVarint(op.blob.size());
       writer.WriteBytes(op.blob);
       break;
@@ -123,8 +123,7 @@ std::vector<uint8_t> SerializeLogOp(const LogOp& op, uint32_t version) {
       writer.WriteBytes(op.blob);
       break;
     case LogOp::Kind::kSpecDelta:
-      // v2-only (Append gates); the epoch the delta produces, then the
-      // SerializeSpecDelta bytes.
+      // The epoch the delta produces, then the SerializeSpecDelta bytes.
       writer.WriteVarint(op.stats.epoch);
       writer.WriteVarint(op.blob.size());
       writer.WriteBytes(op.blob);
@@ -133,8 +132,7 @@ std::vector<uint8_t> SerializeLogOp(const LogOp& op, uint32_t version) {
   return writer.Finish();
 }
 
-Result<LogOp> DeserializeLogOp(std::span<const uint8_t> payload,
-                               uint32_t version) {
+Result<LogOp> DeserializeLogOp(std::span<const uint8_t> payload) {
   BitReader reader(payload.data(), payload.size());
   uint64_t lsn = 0, kind = 0;
   if (!reader.ReadVarint(&lsn).ok()) {
@@ -146,10 +144,8 @@ Result<LogOp> DeserializeLogOp(std::span<const uint8_t> payload,
   if (!reader.Read(8, &kind).ok()) {
     return Status::ParseError("op-log entry truncated before its op kind");
   }
-  const auto max_kind = version >= 2 ? LogOp::Kind::kSpecDelta
-                                     : LogOp::Kind::kSnapshotBarrier;
   if (kind < static_cast<uint64_t>(LogOp::Kind::kAddRun) ||
-      kind > static_cast<uint64_t>(max_kind)) {
+      kind > static_cast<uint64_t>(LogOp::Kind::kSpecDelta)) {
     return Status::ParseError("op-log entry has unknown op kind " +
                               std::to_string(kind));
   }
@@ -162,7 +158,7 @@ Result<LogOp> DeserializeLogOp(std::span<const uint8_t> payload,
     case LogOp::Kind::kImportRun: {
       uint64_t run_id = 0, num_vertices = 0, num_items = 0, label_bits = 0,
                context_bits = 0, origin_bits = 0, num_nonempty_plus = 0,
-               imported = 0, epoch = 1, blob_len = 0;
+               imported = 0, epoch = 0, blob_len = 0;
       if (!reader.ReadVarint(&run_id).ok() ||
           !reader.ReadVarint(&num_vertices).ok() ||
           !reader.ReadVarint(&num_items).ok() ||
@@ -171,7 +167,7 @@ Result<LogOp> DeserializeLogOp(std::span<const uint8_t> payload,
           !reader.ReadVarint(&origin_bits).ok() ||
           !reader.ReadVarint(&num_nonempty_plus).ok() ||
           !reader.ReadVarint(&imported).ok() ||
-          (version >= 2 && !reader.ReadVarint(&epoch).ok()) ||
+          !reader.ReadVarint(&epoch).ok() ||
           !reader.ReadVarint(&blob_len).ok()) {
         return Status::ParseError("op-log entry LSN " + std::to_string(lsn) +
                                   ": truncated run fields");
@@ -189,7 +185,7 @@ Result<LogOp> DeserializeLogOp(std::span<const uint8_t> payload,
                                   ": spec epoch 0 (epochs start at 1)");
       }
       // The stats fields restore into uint32_t (same guard as the snapshot
-      // Runs section): a corrupted varint must not silently truncate.
+      // run index): a corrupted varint must not silently truncate.
       if (num_vertices > UINT32_MAX || label_bits > UINT32_MAX ||
           context_bits > UINT32_MAX || origin_bits > UINT32_MAX ||
           num_nonempty_plus > UINT32_MAX) {
@@ -306,11 +302,11 @@ Result<OpLogReplay> OpLog::ReplayFile(const std::string& path) {
   if (!reader.ReadVarint(&version).ok()) {
     return Status::ParseError("op-log truncated: missing format version");
   }
-  if (version < 1 || version > kOpLogFormatVersion) {
+  if (version != kOpLogFormatVersion) {
     return Status::ParseError(
         "unsupported op-log format version " + std::to_string(version) +
-        " (this build reads versions 1.." +
-        std::to_string(kOpLogFormatVersion) + ")");
+        " (this build reads version " +
+        std::to_string(kOpLogFormatVersion) + " only)");
   }
   uint64_t header_len = 0, header_crc = 0;
   if (!reader.Read(32, &header_len).ok() ||
@@ -330,7 +326,6 @@ Result<OpLogReplay> OpLog::ReplayFile(const std::string& path) {
   }
 
   OpLogReplay replay;
-  replay.version = static_cast<uint32_t>(version);
   {
     BitReader header(header_payload.data(), header_payload.size());
     uint64_t spec_len = 0, scheme_len = 0;
@@ -385,7 +380,7 @@ Result<OpLogReplay> OpLog::ReplayFile(const std::string& path) {
           " failed its CRC-32 check (corrupted or torn append)");
       break;
     }
-    Result<LogOp> op = DeserializeLogOp(payload, replay.version);
+    Result<LogOp> op = DeserializeLogOp(payload);
     if (!op.ok()) {
       replay.tail = Status::ParseError("op-log entry " + after +
                                        " is malformed: " +
@@ -443,7 +438,6 @@ Result<std::unique_ptr<OpLog>> OpLog::Open(const std::string& path,
                                 path + ": " + trunc_ec.message());
       }
     }
-    log->file_version_ = replay.version;
     log->ops_ = std::move(replay.ops);
     log->last_lsn_.store(replay.last_lsn, std::memory_order_release);
     log->file_ = std::fopen(path.c_str(), "ab");
@@ -478,20 +472,9 @@ Result<uint64_t> OpLog::Append(LogOp op) {
   const auto append_start = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> lock(mu_);
   if (!poisoned_.ok()) return poisoned_;
-  // A version-1 file cannot carry what a version-1 reader cannot decode:
-  // refusing here keeps old files honest instead of writing entries that
-  // would replay as corruption.
-  if (file_version_ < 2 &&
-      (op.kind == LogOp::Kind::kSpecDelta || op.stats.epoch > 1)) {
-    return Status::InvalidArgument(
-        "op-log at " + path_ + " is format version " +
-        std::to_string(file_version_) +
-        ", which cannot encode spec epochs; start a fresh log to use "
-        "spec deltas");
-  }
   const uint64_t lsn = last_lsn_.load(std::memory_order_relaxed) + 1;
   op.lsn = lsn;
-  const std::vector<uint8_t> payload = SerializeLogOp(op, file_version_);
+  const std::vector<uint8_t> payload = SerializeLogOp(op);
   BitWriter framed;
   framed.Write(static_cast<uint32_t>(payload.size()), 32);
   framed.Write(Crc32(payload), 32);

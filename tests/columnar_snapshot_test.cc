@@ -1,18 +1,16 @@
-// The v2 columnar snapshot format and its mmap zero-copy loader, proven
-// differentially against the v1 per-run-blob twin: for every bundled
-// scheme, a service restored from a columnar snapshot (through the copying
-// reader AND through the mapped reader) must answer bit-identically to the
-// same service restored from a v1 snapshot and to the never-persisted
-// original — module reachability and item-level dependency, single and
-// batch. Plus the failure battery the container owes every new section:
-// byte-exhaustive truncation and single-bit-flip fuzz through both
-// loaders, trailing-byte rejection in the run index, scheme-tag mismatch
-// rejection, the SKL_NO_MMAP fallback, and the mapping-outlives-the-
-// directory-entry contract.
+// The columnar snapshot format and its mmap zero-copy loader: for every
+// bundled scheme, a service restored from a snapshot (through the copying
+// reader AND through the mapped reader) must answer module reachability
+// exactly as graph search over each run does, and must answer every
+// module- and item-level query, single and batch, bit-identically to the
+// never-persisted original. Plus the failure battery the container owes
+// every section: byte-exhaustive truncation and single-bit-flip fuzz
+// through both loaders, trailing-byte rejection in the run index,
+// scheme-tag mismatch rejection, and the mapping-outlives-the-directory-
+// entry contract.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -120,9 +118,36 @@ void ExpectAnswersIdentical(const ProvenanceService& a,
   }
 }
 
-/// Builds a service with two generated runs (one with a data catalog) and
-/// returns it, for a given scheme over the running-example spec.
-Result<ProvenanceService> BuildService(SpecSchemeKind kind) {
+/// Every run of `service` (ids in ascending order) answers every vertex
+/// pair exactly as graph search over the matching entry of `runs` does.
+void ExpectMatchesReachability(const ProvenanceService& service,
+                               const std::vector<::skl::Run>& runs) {
+  const std::vector<RunId> ids = service.ListRuns();
+  ASSERT_EQ(ids.size(), runs.size());
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const std::vector<std::vector<bool>> reference =
+        testing_util::ReferenceMatrix(runs[i]);
+    const VertexId n = runs[i].num_vertices();
+    std::vector<VertexPair> pairs;
+    pairs.reserve(static_cast<size_t>(n) * n);
+    for (VertexId v = 0; v < n; ++v) {
+      for (VertexId w = 0; w < n; ++w) pairs.push_back({v, w});
+    }
+    auto answers = service.ReachesBatch(ids[i], pairs);
+    ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+    for (size_t p = 0; p < pairs.size(); ++p) {
+      ASSERT_EQ((*answers)[p], reference[pairs[p].first][pairs[p].second])
+          << "run " << ids[i].value() << " pair " << pairs[p].first << "->"
+          << pairs[p].second;
+    }
+  }
+}
+
+/// Builds a service over the running-example spec with the example run
+/// and two generated runs (one with a data catalog), for a given scheme.
+/// The runs, in id order, land in `*runs` when it is non-null.
+Result<ProvenanceService> BuildService(
+    SpecSchemeKind kind, std::vector<::skl::Run>* runs = nullptr) {
   auto ex = testing_util::MakeRunningExample();
   ::skl::Run generated = GenerateRun(ex.spec, 50, 11);
   ::skl::Run with_data = GenerateRun(ex.spec, 60, 13);
@@ -134,79 +159,61 @@ Result<ProvenanceService> BuildService(SpecSchemeKind kind) {
   SKL_RETURN_NOT_OK(service.AddRun(ex.run).status());
   SKL_RETURN_NOT_OK(service.AddRun(generated).status());
   SKL_RETURN_NOT_OK(service.AddRun(with_data, &catalog).status());
+  if (runs != nullptr) {
+    *runs = {std::move(ex.run), std::move(generated), std::move(with_data)};
+  }
   return service;
 }
 
-// ----------------------------------------- differential vs the blob twin --
+/// Saves `service`, restores it through both readers, and checks each
+/// restored copy against graph reachability and against the original.
+void ExpectBothLoadsMatch(const ProvenanceService& service,
+                          const std::vector<::skl::Run>& runs,
+                          const std::string& name) {
+  TempFile file(name);
+  ASSERT_TRUE(service.SaveSnapshot(file.path()).ok());
+  for (bool use_mmap : {false, true}) {
+    SCOPED_TRACE(use_mmap ? "mapped" : "copied");
+    auto restored = ProvenanceService::LoadSnapshot(file.path(), {},
+                                                    {.use_mmap = use_mmap});
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    EXPECT_EQ(restored->loaded_via_mmap(), use_mmap);
+    ExpectMatchesReachability(*restored, runs);
+    ExpectAnswersIdentical(service, *restored);
+  }
+}
 
-TEST(ColumnarSnapshotTest, BitIdenticalToBlobTwinEveryBundledScheme) {
+// ---------------------------------------------- against graph reachability --
+
+TEST(ColumnarSnapshotTest, LoadsMatchReachabilityEveryBundledScheme) {
   // kInterval requires a tree-shaped spec and is covered below.
   for (SpecSchemeKind kind :
        {SpecSchemeKind::kTcm, SpecSchemeKind::kBfs, SpecSchemeKind::kDfs,
         SpecSchemeKind::kTreeCover, SpecSchemeKind::kChain,
         SpecSchemeKind::kTwoHop}) {
     SCOPED_TRACE(SpecSchemeKindName(kind));
-    auto service = BuildService(kind);
+    std::vector<::skl::Run> runs;
+    auto service = BuildService(kind, &runs);
     ASSERT_TRUE(service.ok()) << service.status().ToString();
-
-    TempFile v2(std::string("twin_v2_") + SpecSchemeKindName(kind));
-    TempFile v1(std::string("twin_v1_") + SpecSchemeKindName(kind));
-    ASSERT_TRUE(service->SaveSnapshot(v2.path()).ok());
-    ASSERT_TRUE(service->SaveSnapshotAtVersion(v1.path(), 1).ok());
-
-    // The blob-backed twin: same registry restored from the v1 format.
-    auto from_v1 = ProvenanceService::LoadSnapshot(v1.path());
-    ASSERT_TRUE(from_v1.ok()) << from_v1.status().ToString();
-
-    // Columnar through the copying reader...
-    auto copied = ProvenanceService::LoadSnapshot(v2.path());
-    ASSERT_TRUE(copied.ok()) << copied.status().ToString();
-    EXPECT_FALSE(copied->loaded_via_mmap());
-    ExpectAnswersIdentical(*service, *copied);
-    ExpectAnswersIdentical(*from_v1, *copied);
-
-    // ... and through the zero-copy mapped reader.
-    auto mapped =
-        ProvenanceService::LoadSnapshot(v2.path(), {}, {.use_mmap = true});
-    ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-    ExpectAnswersIdentical(*service, *mapped);
-    ExpectAnswersIdentical(*from_v1, *mapped);
+    ExpectBothLoadsMatch(*service, runs,
+                         std::string("scheme_") + SpecSchemeKindName(kind));
   }
 }
 
-TEST(ColumnarSnapshotTest, BitIdenticalToBlobTwinIntervalScheme) {
-  SpecificationBuilder builder;
-  VertexId a = builder.AddModule("a");
-  VertexId b = builder.AddModule("b");
-  VertexId c = builder.AddModule("c");
-  VertexId d = builder.AddModule("d");
-  builder.AddEdge(a, b).AddEdge(b, c).AddEdge(c, d);
-  builder.DeclareLoop({b, c});
-  auto spec = std::move(builder).Build();
-  ASSERT_TRUE(spec.ok());
-
-  ::skl::Run run = GenerateRun(*spec, 30, 5);
-  auto service = ProvenanceService::Create(std::move(spec).value(),
-                                           SpecSchemeKind::kInterval);
+TEST(ColumnarSnapshotTest, LoadsMatchReachabilityIntervalScheme) {
+  Specification spec = testing_util::MakeTreeSpec();
+  std::vector<::skl::Run> runs;
+  runs.push_back(GenerateRun(spec, 30, 5));
+  auto service =
+      ProvenanceService::Create(std::move(spec), SpecSchemeKind::kInterval);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
-  ASSERT_TRUE(service->AddRun(run).ok());
-
-  TempFile v2("interval_v2");
-  TempFile v1("interval_v1");
-  ASSERT_TRUE(service->SaveSnapshot(v2.path()).ok());
-  ASSERT_TRUE(service->SaveSnapshotAtVersion(v1.path(), 1).ok());
-  auto from_v1 = ProvenanceService::LoadSnapshot(v1.path());
-  ASSERT_TRUE(from_v1.ok());
-  auto mapped =
-      ProvenanceService::LoadSnapshot(v2.path(), {}, {.use_mmap = true});
-  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  ExpectAnswersIdentical(*service, *mapped);
-  ExpectAnswersIdentical(*from_v1, *mapped);
+  ASSERT_TRUE(service->AddRun(runs[0]).ok());
+  ExpectBothLoadsMatch(*service, runs, "interval");
 }
 
-// ------------------------------------------------- mmap path and fallback --
+// ------------------------------------------------------------- mmap path --
 
-TEST(ColumnarSnapshotTest, MmapLoadIsZeroCopyAndFallbacksAreNot) {
+TEST(ColumnarSnapshotTest, MmapLoadIsZeroCopyAndCopyingLoadIsNot) {
   auto service = BuildService(SpecSchemeKind::kTcm);
   ASSERT_TRUE(service.ok());
   TempFile file("mmap_modes");
@@ -217,34 +224,12 @@ TEST(ColumnarSnapshotTest, MmapLoadIsZeroCopyAndFallbacksAreNot) {
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
   EXPECT_TRUE(mapped->loaded_via_mmap());
 
+  // use_mmap = false selects the copying reader: same answers, owned
+  // memory.
   auto copied = ProvenanceService::LoadSnapshot(file.path());
   ASSERT_TRUE(copied.ok());
   EXPECT_FALSE(copied->loaded_via_mmap());
-
-  // SKL_NO_MMAP forces the copying reader even when mmap was requested —
-  // the operational kill switch the CI fallback leg exercises.
-  ::setenv("SKL_NO_MMAP", "1", 1);
-  auto forced =
-      ProvenanceService::LoadSnapshot(file.path(), {}, {.use_mmap = true});
-  ::unsetenv("SKL_NO_MMAP");
-  ASSERT_TRUE(forced.ok());
-  EXPECT_FALSE(forced->loaded_via_mmap());
-  ExpectAnswersIdentical(*mapped, *forced);
-}
-
-TEST(ColumnarSnapshotTest, V1SnapshotLoadsUnderMmapRequestViaCopy) {
-  // A v1 snapshot has no columnar section to view: the mapped container
-  // parses fine, the blobs decode into owned memory, and the service must
-  // NOT report itself as mmap-backed (nothing references the mapping).
-  auto service = BuildService(SpecSchemeKind::kBfs);
-  ASSERT_TRUE(service.ok());
-  TempFile file("v1_under_mmap");
-  ASSERT_TRUE(service->SaveSnapshotAtVersion(file.path(), 1).ok());
-  auto restored =
-      ProvenanceService::LoadSnapshot(file.path(), {}, {.use_mmap = true});
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_FALSE(restored->loaded_via_mmap());
-  ExpectAnswersIdentical(*service, *restored);
+  ExpectAnswersIdentical(*mapped, *copied);
 }
 
 TEST(ColumnarSnapshotTest, MappedServiceSurvivesFileUnlink) {
@@ -324,9 +309,8 @@ TEST(ColumnarSnapshotTest, BitFlipFuzzBothLoaders) {
 }
 
 TEST(ColumnarSnapshotTest, RunIndexTrailingBytesAreRejected) {
-  // v2 analog of snapshot_test's RunsSectionTrailingBytesAreRejected: a
-  // CRC-valid run index with bytes past the declared runs means a writer
-  // bug; those runs must not vanish silently.
+  // A CRC-valid run index with bytes past the declared runs means a
+  // writer bug; those runs must not vanish silently.
   auto service = BuildService(SpecSchemeKind::kTcm);
   ASSERT_TRUE(service.ok());
   TempFile file("index_trailing");
@@ -335,7 +319,8 @@ TEST(ColumnarSnapshotTest, RunIndexTrailingBytesAreRejected) {
   ASSERT_TRUE(reader.ok());
   SnapshotWriter writer;
   for (uint32_t id : {kSnapshotSectionSpec, kSnapshotSectionScheme,
-                      kSnapshotSectionRunIndex, kSnapshotSectionColumns}) {
+                      kSnapshotSectionEpochs, kSnapshotSectionRunIndex,
+                      kSnapshotSectionColumns}) {
     auto section = reader->Section(id);
     ASSERT_TRUE(section.ok());
     std::vector<uint8_t> payload(section->begin(), section->end());
@@ -369,7 +354,8 @@ TEST(ColumnarSnapshotTest, SchemeTagMismatchIsRejected) {
   ASSERT_TRUE(reader.ok());
   SnapshotWriter writer;
   for (uint32_t id : {kSnapshotSectionSpec, kSnapshotSectionScheme,
-                      kSnapshotSectionRunIndex, kSnapshotSectionColumns}) {
+                      kSnapshotSectionEpochs, kSnapshotSectionRunIndex,
+                      kSnapshotSectionColumns}) {
     auto section = reader->Section(id);
     ASSERT_TRUE(section.ok());
     std::vector<uint8_t> payload(section->begin(), section->end());
@@ -405,7 +391,8 @@ TEST(ColumnarSnapshotTest, UnalignedColumnsStillDecode) {
   ASSERT_TRUE(reader.ok());
   SnapshotWriter writer;
   for (uint32_t id : {kSnapshotSectionSpec, kSnapshotSectionScheme,
-                      kSnapshotSectionRunIndex, kSnapshotSectionColumns}) {
+                      kSnapshotSectionEpochs, kSnapshotSectionRunIndex,
+                      kSnapshotSectionColumns}) {
     auto section = reader->Section(id);
     ASSERT_TRUE(section.ok());
     writer.AddSection(id,

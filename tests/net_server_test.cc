@@ -333,7 +333,7 @@ std::vector<uint8_t> EncodeOne(Frame frame) {
   return bytes;
 }
 
-/// A current-version ping: v5 request payloads end with the trace-id
+/// A current-version ping: request payloads end with the trace-id
 /// varint, even when there is nothing else to say.
 Frame PingFrame(uint64_t request_id, uint64_t trace_id = 0) {
   PayloadWriter payload;
@@ -351,8 +351,8 @@ TEST(NetServerTest, CorruptionAtEveryByteGetsAnErrorNeverACrash) {
   payload.U64(1);
   payload.U64(0);
   payload.U64(1);
-  payload.U64(0);  // v3+ read-LSN token
-  payload.U64(0);  // v5 trace id
+  payload.U64(0);  // read-LSN token
+  payload.U64(0);  // trace id
   request.payload = std::move(payload).Finish();
   const std::vector<uint8_t> wire = EncodeOne(request);
 
@@ -377,7 +377,8 @@ TEST(NetServerTest, CorruptionAtEveryByteGetsAnErrorNeverACrash) {
       if (!next->has_value()) break;
       ++frames;
       EXPECT_EQ((*next)->type, MsgType::kError);
-      Status carried = DecodeErrorPayload((*next)->payload);
+      uint64_t trace = 0;
+      Status carried = DecodeErrorPayload((*next)->payload, &trace);
       EXPECT_FALSE(carried.ok());
       EXPECT_FALSE(carried.message().empty());
     }
@@ -430,7 +431,6 @@ TEST(NetServerTest, MalformedPayloadKeepsTheConnectionAlive) {
   ASSERT_TRUE(first.ok() && first->has_value());
   EXPECT_EQ((*first)->type, MsgType::kError);
   EXPECT_EQ((*first)->request_id, 1u);
-  // An in-range v5 request gets the v5 error shape (trailing trace id).
   uint64_t trace = ~0ull;
   Status carried = DecodeErrorPayload((*first)->payload, &trace);
   EXPECT_EQ(trace, 0u);  // the malformed request never got to its trace
@@ -473,7 +473,8 @@ TEST(NetServerTest, UnknownOpcodeAndWrongVersionGetDescriptiveErrors) {
     auto first = decoder.Next();
     ASSERT_TRUE(first.ok() && first->has_value());
     EXPECT_EQ((*first)->type, MsgType::kError);
-    Status carried = DecodeErrorPayload((*first)->payload);
+    uint64_t trace = 0;
+    Status carried = DecodeErrorPayload((*first)->payload, &trace);
     EXPECT_NE(carried.message().find("version"), std::string::npos);
   }
   server->Shutdown();
@@ -481,120 +482,75 @@ TEST(NetServerTest, UnknownOpcodeAndWrongVersionGetDescriptiveErrors) {
 
 TEST(NetServerTest, VersionCrossesGetMatchingRepliesOrDescriptiveErrors) {
   auto server = StartServer(SpecSchemeKind::kTcm);
-  {
-    // A v2 client against this v5 server: still served, and the reply is
-    // stamped v2 so the old client's own version check passes. A v2
-    // ListRuns carries no read-LSN token and its reply must not carry LSN
-    // fields either — it decodes as exactly {count, count × id}.
+  // Every version but kProtocolVersion is refused, each with an error that
+  // names both the offered version and the one this server speaks, so an
+  // operator reading one log line knows which side to change. The refusal
+  // costs neither the connection nor the next current-version request.
+  for (uint8_t version : {uint8_t{2}, uint8_t{3}, uint8_t{4}, uint8_t{5},
+                          uint8_t{kProtocolVersion + 1}}) {
+    SCOPED_TRACE("version " + std::to_string(version));
     RawConn conn(server->port());
-    conn.Send(EncodeOne(Frame{kMinSupportedProtocolVersion, MsgType::kPing,
-                              1, {}}));
-    conn.Send(EncodeOne(Frame{kMinSupportedProtocolVersion,
-                              MsgType::kListRuns, 2, {}}));
+    conn.Send(EncodeOne(Frame{version, MsgType::kPing, 1,
+                              PingFrame(1, 42).payload}));
+    conn.Send(EncodeOne(PingFrame(2)));
     conn.FinishWrites();
     FrameDecoder decoder;
     decoder.Feed(conn.ReadUntilEof());
+    auto first = decoder.Next();
+    ASSERT_TRUE(first.ok() && first->has_value());
+    EXPECT_EQ((*first)->type, MsgType::kError);
+    EXPECT_EQ((*first)->request_id, 1u);
+    EXPECT_EQ((*first)->version, kProtocolVersion);
+    uint64_t trace = ~0ull;
+    Status carried = DecodeErrorPayload((*first)->payload, &trace);
+    EXPECT_EQ(carried.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(trace, 0u);  // a refused frame's payload is never read
+    EXPECT_NE(carried.message().find("version " + std::to_string(version)),
+              std::string::npos)
+        << carried.ToString();
+    EXPECT_NE(carried.message().find("version " +
+                                     std::to_string(kProtocolVersion)),
+              std::string::npos)
+        << carried.ToString();
     auto ping = decoder.Next();
     ASSERT_TRUE(ping.ok() && ping->has_value());
     EXPECT_EQ((*ping)->type, MsgType::kReply);
-    EXPECT_EQ((*ping)->version, kMinSupportedProtocolVersion);
-    auto list = decoder.Next();
-    ASSERT_TRUE(list.ok() && list->has_value());
-    EXPECT_EQ((*list)->type, MsgType::kReply);
-    EXPECT_EQ((*list)->version, kMinSupportedProtocolVersion);
-    PayloadReader reader((*list)->payload);
-    auto count = reader.U64();
-    ASSERT_TRUE(count.ok());
-    EXPECT_EQ(*count, 3u);  // StartServer pre-ingests three runs
-    for (uint64_t want = 1; want <= 3; ++want) {
-      auto id = reader.U64();
-      ASSERT_TRUE(id.ok());
-      EXPECT_EQ(*id, want);
-    }
-    EXPECT_TRUE(reader.ExpectEnd().ok());
-  }
-  {
-    // The trace-less middle versions: a v3 or v4 Reaches carries the read
-    // token but no trace id, and must get a plain boolean answer stamped
-    // with the requester's version — exactly what a pre-observability
-    // client expects.
-    for (uint8_t version : {uint8_t{3}, uint8_t{4}}) {
-      SCOPED_TRACE("version " + std::to_string(version));
-      PayloadWriter payload;
-      payload.U64(1);  // run
-      payload.U64(0);  // v
-      payload.U64(1);  // w
-      payload.U64(0);  // v3 read-LSN token — and nothing after it
-      RawConn conn(server->port());
-      conn.Send(EncodeOne(Frame{version, MsgType::kReaches, 1,
-                                std::move(payload).Finish()}));
-      conn.Send(EncodeOne(Frame{version, MsgType::kPing, 2, {}}));
-      conn.FinishWrites();
-      FrameDecoder decoder;
-      decoder.Feed(conn.ReadUntilEof());
-      auto answer = decoder.Next();
-      ASSERT_TRUE(answer.ok() && answer->has_value());
-      EXPECT_EQ((*answer)->type, MsgType::kReply);
-      EXPECT_EQ((*answer)->version, version);
-      PayloadReader reader((*answer)->payload);
-      auto value = reader.U64();
-      ASSERT_TRUE(value.ok());
-      EXPECT_LE(*value, 1u);  // a bare boolean, no trailing fields
-      EXPECT_TRUE(reader.ExpectEnd().ok());
-      auto ping = decoder.Next();
-      ASSERT_TRUE(ping.ok() && ping->has_value());
-      EXPECT_EQ((*ping)->type, MsgType::kReply);
-      EXPECT_EQ((*ping)->version, version);
-    }
-  }
-  {
-    // A client from the future: the error names both its version and the
-    // range this server speaks, so an operator reading one log line knows
-    // which side to upgrade.
-    RawConn conn(server->port());
-    conn.Send(EncodeOne(Frame{kProtocolVersion + 1, MsgType::kPing, 1, {}}));
-    conn.FinishWrites();
-    FrameDecoder decoder;
-    decoder.Feed(conn.ReadUntilEof());
-    auto first = decoder.Next();
-    ASSERT_TRUE(first.ok() && first->has_value());
-    EXPECT_EQ((*first)->type, MsgType::kError);
-    Status carried = DecodeErrorPayload((*first)->payload);
-    EXPECT_EQ(carried.code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(carried.message().find(std::to_string(kProtocolVersion + 1)),
-              std::string::npos)
-        << carried.ToString();
-    EXPECT_NE(carried.message().find(std::to_string(kProtocolVersion)),
-              std::string::npos)
-        << carried.ToString();
-    EXPECT_NE(
-        carried.message().find(std::to_string(kMinSupportedProtocolVersion)),
-        std::string::npos)
-        << carried.ToString();
-  }
-  {
-    // One below the supported floor is refused the same way.
-    RawConn conn(server->port());
-    conn.Send(EncodeOne(Frame{kMinSupportedProtocolVersion - 1,
-                              MsgType::kPing, 1, {}}));
-    conn.FinishWrites();
-    FrameDecoder decoder;
-    decoder.Feed(conn.ReadUntilEof());
-    auto first = decoder.Next();
-    ASSERT_TRUE(first.ok() && first->has_value());
-    EXPECT_EQ((*first)->type, MsgType::kError);
-    Status carried = DecodeErrorPayload((*first)->payload);
-    EXPECT_EQ(carried.code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(carried.message().find("version"), std::string::npos);
+    EXPECT_EQ((*ping)->request_id, 2u);
   }
   server->Shutdown();
+}
+
+TEST(NetServerTest, PoisonedConnectionReportsTheServersReason) {
+  // A request over the server's frame limit desynchronizes the stream: the
+  // server answers one request-id-0 kError and closes. The client must
+  // surface the server's reason, not a request-id mismatch.
+  Specification spec = testing_util::MakeRunningExample().spec;
+  auto service = ProvenanceService::Create(std::move(spec),
+                                           SpecSchemeKind::kTcm);
+  ASSERT_TRUE(service.ok());
+  ASSERT_TRUE(service->AddRun(testing_util::MakeRunningExample().run).ok());
+  ProvenanceServer::Options options;
+  options.max_frame_bytes = 1024;
+  auto server = ProvenanceServer::Start(std::move(service).value(), options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  ProvenanceClient client = NewClient(**server);
+  const std::vector<VertexPair> big(2000, VertexPair{0, 1});
+  auto refused = client.ReachesBatch(RunId::FromValue(1), big);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.status().message().find("exceeds the maximum"),
+            std::string::npos)
+      << refused.status().ToString();
+  // The connection is gone; later calls fail the same way.
+  auto again = client.Ping();
+  EXPECT_FALSE(again.ok());
+  (*server)->Shutdown();
 }
 
 // ---------------------------------------------------------- observability --
 
 TEST(NetServerTest, ErrorRepliesEchoTheClientTraceId) {
   auto server = StartServer(SpecSchemeKind::kTcm);
-  // A v5 Reaches against a run that does not exist, traced as 77: the
+  // A Reaches against a run that does not exist, traced as 77: the
   // error reply must carry the Status AND echo the trace id, so a client
   // log line and a server slow-query line join on one token.
   PayloadWriter payload;
@@ -749,8 +705,8 @@ TEST(NetServerTest, ServiceStatsRpcCountsServedQueries) {
   EXPECT_EQ(after->num_runs, 3u);
   EXPECT_EQ(after->runs_ingested, 3u);
   EXPECT_EQ(after->runs_imported, 1u);
-  // The retired result-cache counters still travel the wire (protocol v2
-  // layout), always 0, the same as in process.
+  // The retired result-cache counters still travel the wire in the
+  // kServiceStats reply, always 0, the same as in process.
   EXPECT_EQ(after->cache_hits, 0u);
   EXPECT_EQ(after->cache_misses, 0u);
   EXPECT_EQ(server->service().service_stats().cache_hits, 0u);

@@ -153,6 +153,37 @@ TEST(OpLogTest, OpenRefusesAForeignHeader) {
   std::filesystem::remove(path);
 }
 
+TEST(OpLogTest, OtherFormatVersionsAreRejected) {
+  // Only kOpLogFormatVersion replays. The retired v1 header and a version
+  // from the future are fabricated by rewriting the version varint (one
+  // byte, right after the 4-byte magic) of a current log.
+  const std::string path = BuildThreeEntryLog("oplog_version");
+  const std::vector<uint8_t> current = ReadAll(path);
+  ASSERT_EQ(current[4], kOpLogFormatVersion);
+  for (uint8_t version : {uint8_t{1}, uint8_t{kOpLogFormatVersion + 1}}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    std::vector<uint8_t> bytes = current;
+    bytes[4] = version;
+    WriteAll(path, bytes);
+    auto replay = OpLog::ReplayFile(path);
+    ASSERT_FALSE(replay.ok());
+    EXPECT_EQ(replay.status().code(), StatusCode::kParseError);
+    EXPECT_NE(replay.status().message().find(
+                  "unsupported op-log format version " +
+                  std::to_string(version)),
+              std::string::npos)
+        << replay.status().ToString();
+    // Reopening for append refuses it the same way, leaving it untouched.
+    OpLog::Options options;
+    options.fsync = false;
+    auto reopened = OpLog::Open(path, kSpecXml, kScheme, options);
+    ASSERT_FALSE(reopened.ok());
+    EXPECT_EQ(reopened.status().code(), StatusCode::kParseError);
+    EXPECT_EQ(ReadAll(path), bytes);
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(OpLogTest, ReadFromServesLsnWindows) {
   const std::string path = FreshLogPath("oplog_readfrom");
   OpLog::Options options;

@@ -157,7 +157,7 @@ TEST(ProtocolTest, OversizedLengthPrefixIsBoundedNotAllocated) {
 }
 
 TEST(ProtocolTest, UnsupportedVersionDecodesForTheDispatcherToReject) {
-  // A CRC-intact frame of a future protocol version is not line noise: the
+  // A CRC-intact frame of another protocol version is not line noise: the
   // decoder hands it over so the server can answer a descriptive error.
   Frame future = MakeReachesFrame(2);
   future.version = kProtocolVersion + 3;
@@ -213,17 +213,23 @@ TEST(ProtocolTest, PayloadReaderRejectsTruncationAndTrailingBytes) {
 }
 
 TEST(ProtocolTest, ErrorPayloadRoundTripsEveryCode) {
+  uint64_t trace_id = 0;
   for (StatusCode code :
        {StatusCode::kInvalidArgument, StatusCode::kInvalidSpecification,
         StatusCode::kInvalidRun, StatusCode::kNotFound,
         StatusCode::kParseError, StatusCode::kCapacityExceeded,
         StatusCode::kInternal, StatusCode::kCancelled,
-        StatusCode::kUnavailable, StatusCode::kRetryAt}) {
+        StatusCode::kUnavailable, StatusCode::kRetryAt,
+        StatusCode::kEpochMismatch}) {
     const Status original(code, std::string("message for ") +
                                     StatusCodeName(code));
-    Status decoded = DecodeErrorPayload(EncodeErrorPayload(original));
+    trace_id = trace_id * 131 + 7;
+    uint64_t decoded_trace = 0;
+    Status decoded = DecodeErrorPayload(
+        EncodeErrorPayload(original, trace_id), &decoded_trace);
     EXPECT_EQ(decoded.code(), original.code());
     EXPECT_EQ(decoded.message(), original.message());
+    EXPECT_EQ(decoded_trace, trace_id);
   }
 }
 
@@ -231,16 +237,27 @@ TEST(ProtocolTest, UnknownErrorCodeMapsToInternalKeepingTheMessage) {
   PayloadWriter writer;
   writer.U64(200);  // a code from the future
   writer.Str("future failure");
-  Status decoded = DecodeErrorPayload(std::move(writer).Finish());
+  writer.U64(9);
+  uint64_t trace = 0;
+  Status decoded = DecodeErrorPayload(std::move(writer).Finish(), &trace);
   EXPECT_EQ(decoded.code(), StatusCode::kInternal);
   EXPECT_NE(decoded.message().find("future failure"), std::string::npos);
+  EXPECT_EQ(trace, 9u);
 }
 
 TEST(ProtocolTest, MalformedErrorPayloadIsAParseError) {
-  Status decoded = DecodeErrorPayload(std::vector<uint8_t>{0x01});
-  EXPECT_EQ(decoded.code(), StatusCode::kParseError);
-  EXPECT_NE(decoded.message().find("malformed error payload"),
-            std::string::npos);
+  PayloadWriter no_trace;  // code + message only: the trace id is missing
+  no_trace.U64(static_cast<uint64_t>(StatusCode::kNotFound));
+  no_trace.Str("run 7");
+  for (const std::vector<uint8_t>& payload :
+       {std::vector<uint8_t>{0x01}, std::move(no_trace).Finish()}) {
+    uint64_t trace = 5;
+    Status decoded = DecodeErrorPayload(payload, &trace);
+    EXPECT_EQ(decoded.code(), StatusCode::kParseError);
+    EXPECT_NE(decoded.message().find("malformed error payload"),
+              std::string::npos);
+    EXPECT_EQ(trace, 0u);
+  }
 }
 
 // ------------------------------------------------------ golden bytes --

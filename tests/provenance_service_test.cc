@@ -14,7 +14,6 @@
 #include "src/common/temp_path.h"
 #include "src/core/plan_builder.h"
 #include "src/core/provenance_service.h"
-#include "src/graph/algorithms.h"
 #include "src/workload/data_generator.h"
 #include "src/workload/query_generator.h"
 #include "src/workload/run_generator.h"
@@ -37,20 +36,6 @@ Run MakeGeneratedRun(const Specification& spec, uint32_t target,
   auto gen = generator.Generate(opt);
   SKL_CHECK_MSG(gen.ok(), gen.status().ToString().c_str());
   return std::move(gen->run);
-}
-
-/// Reference answers from the definition the labels encode: reachability
-/// in the run graph (reflexive).
-std::vector<std::vector<bool>> ReferenceMatrix(const Run& run) {
-  std::vector<std::vector<bool>> m(run.num_vertices());
-  for (VertexId u = 0; u < run.num_vertices(); ++u) {
-    const DynamicBitset reachable = ReachableFrom(run.graph(), u);
-    m[u].resize(run.num_vertices());
-    for (VertexId v = 0; v < run.num_vertices(); ++v) {
-      m[u][v] = reachable.Test(v);
-    }
-  }
-  return m;
 }
 
 TEST(ProvenanceServiceTest, FigureThreeAnswers) {
@@ -88,7 +73,7 @@ TEST(ProvenanceServiceTest, MultiRunRegistryIsolation) {
     runs.push_back(MakeGeneratedRun(spec, 40 + 20 * seed, seed));
   }
   std::vector<std::vector<std::vector<bool>>> expected;
-  for (const ::skl::Run& r : runs) expected.push_back(ReferenceMatrix(r));
+  for (const ::skl::Run& r : runs) expected.push_back(testing_util::ReferenceMatrix(r));
 
   auto service =
       ProvenanceService::Create(std::move(spec), SpecSchemeKind::kTcm);
@@ -372,7 +357,7 @@ TEST(ProvenanceServiceTest, AddRunsParallelPublishesInInputOrder) {
     runs.push_back(MakeGeneratedRun(spec, 30 + 25 * seed, seed));
   }
   std::vector<std::vector<std::vector<bool>>> expected;
-  for (const ::skl::Run& r : runs) expected.push_back(ReferenceMatrix(r));
+  for (const ::skl::Run& r : runs) expected.push_back(testing_util::ReferenceMatrix(r));
 
   ProvenanceService::Options options;
   options.num_threads = 4;
@@ -578,7 +563,7 @@ TEST(ProvenanceServiceTest, ShardedRegistryAnswersMatchReference) {
         SpecSchemeKind::kChain, SpecSchemeKind::kTwoHop}) {
     const Specification spec = testing_util::MakeSpecFor(kind);
     const ::skl::Run run = MakeGeneratedRun(spec, 80, 5);
-    const std::vector<std::vector<bool>> reference = ReferenceMatrix(run);
+    const std::vector<std::vector<bool>> reference = testing_util::ReferenceMatrix(run);
     std::vector<VertexPair> pairs;
     for (VertexId u = 0; u < run.num_vertices(); u += 3) {
       for (VertexId v = 0; v < run.num_vertices(); v += 5) {

@@ -123,6 +123,29 @@ TEST_F(ProvenanceStoreTest, CorruptBlobsRejected) {
   EXPECT_FALSE(ProvenanceStore::Deserialize(std::vector<uint8_t>{}).ok());
 }
 
+TEST_F(ProvenanceStoreTest, OtherBlobVersionsRejected) {
+  // Only version 2 loads. The retired untagged v1 blob and a version from
+  // the future are fabricated by rewriting the version varint (one byte,
+  // right after the 4-byte magic) of a current blob.
+  const std::vector<uint8_t> blob =
+      ProvenanceStore::Capture(*labeling_, nullptr, "TCM").Serialize();
+  ASSERT_EQ(blob[4], 2);
+  for (uint8_t version : {uint8_t{1}, uint8_t{3}}) {
+    std::vector<uint8_t> bytes = blob;
+    bytes[4] = version;
+    auto restored = ProvenanceStore::Deserialize(bytes);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.status().code(), StatusCode::kParseError);
+    EXPECT_NE(restored.status().message().find(
+                  "unsupported store version " + std::to_string(version)),
+              std::string::npos)
+        << restored.status().ToString();
+    ProvenanceService service = MakeService();
+    EXPECT_EQ(service.ImportRun(bytes).status().code(),
+              StatusCode::kParseError);
+  }
+}
+
 TEST(ProvenanceStoreLargeTest, GeneratedRunRoundTrip) {
   auto spec_result = BuildRunningExampleSpec();
   ASSERT_TRUE(spec_result.ok());

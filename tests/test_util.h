@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/graph/algorithms.h"
 #include "src/speclabel/scheme.h"
 #include "src/workflow/run.h"
 #include "src/workflow/specification.h"
@@ -138,6 +139,20 @@ inline RunningExample MakeRunningExample() {
   SKL_CHECK_MSG(run_result.ok(), run_result.status().ToString().c_str());
   ex.run = std::move(run_result).value();
   return ex;
+}
+
+/// Reference answers from the definition the labels encode: reachability
+/// in the run graph (reflexive), row u holding every v that u reaches.
+inline std::vector<std::vector<bool>> ReferenceMatrix(const Run& run) {
+  std::vector<std::vector<bool>> m(run.num_vertices());
+  for (VertexId u = 0; u < run.num_vertices(); ++u) {
+    const DynamicBitset reachable = ReachableFrom(run.graph(), u);
+    m[u].resize(run.num_vertices());
+    for (VertexId v = 0; v < run.num_vertices(); ++v) {
+      m[u][v] = reachable.Test(v);
+    }
+  }
+  return m;
 }
 
 /// A tree-shaped specification for the interval scheme (which rejects spec

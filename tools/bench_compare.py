@@ -55,7 +55,9 @@ GATED_EXACT = ("query_tcm_ns", "net_batch_codec_us", "repl_lag_p50",
 #: that still carries one reports it as "retired" rather than "removed".
 #: query_cache_hit_ns: the query result cache was removed; query_tcm_ns
 #: gates the serving latency instead.
-RETIRED = ("query_cache_hit_ns",)
+#: snapshot_load_v1_ms: the v1 snapshot format and its loader were removed;
+#: snapshot_load_ms and snapshot_load_mmap_ms gate the one format left.
+RETIRED = ("query_cache_hit_ns", "snapshot_load_v1_ms")
 #: (prefix, suffix) pairs: gates the connection-scale p99 keys
 #: (net_connscale_256_p99_latency, ..._1024_..., ...) without gating the
 #: qps/churn keys that share the prefix.
@@ -163,7 +165,7 @@ def main():
                       "MISSING" if gated else "removed")
             lines.append(f"| `{key}` | {baseline[key][0]:.4g} {baseline[key][1]}"
                          f" | — | — | {status} |")
-            if gated:
+            if gated and not retired:
                 regressions.append(f"{key}: gated metric missing from the "
                                    "current run")
             continue
