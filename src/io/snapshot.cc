@@ -62,11 +62,16 @@ Status SyncDir(const std::string& dir) {
 }
 
 Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  // One bulk read: copying the stream a byte at a time cost several times
+  // the parse itself, and its speed moved with the loop's code layout.
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::NotFound("cannot open snapshot file " + path);
-  std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-  if (in.bad()) return Status::Internal("error reading snapshot file " + path);
+  const std::streamsize size = in.tellg();
+  std::vector<uint8_t> bytes(size > 0 ? static_cast<size_t>(size) : 0);
+  in.seekg(0);
+  if (size < 0 || !in.read(reinterpret_cast<char*>(bytes.data()), size)) {
+    return Status::Internal("error reading snapshot file " + path);
+  }
   return bytes;
 }
 

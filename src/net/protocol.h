@@ -22,9 +22,10 @@
 //
 // Error model: header-intact frames whose body fails validation (CRC, version,
 // payload shape, service-level errors) get a kError response carrying the
-// StatusCode + message; the connection stays usable. A corrupted header
-// (magic/length) loses frame synchronization — the decoder poisons itself and
-// the server closes that connection after a best-effort error response.
+// StatusCode, message and trace id; the connection stays usable. A corrupted
+// header (magic/length) loses frame synchronization — the decoder poisons
+// itself and the server closes that connection after a best-effort kError
+// with request_id 0.
 #ifndef SKL_NET_PROTOCOL_H_
 #define SKL_NET_PROTOCOL_H_
 

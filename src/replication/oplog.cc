@@ -58,11 +58,15 @@ Status SyncOpenFile(std::FILE* file, const std::string& path) {
 }
 
 Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  // One bulk read, for the reason given in src/io/snapshot.cc.
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::NotFound("cannot open op-log file " + path);
-  std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-  if (in.bad()) return Status::Internal("error reading op-log file " + path);
+  const std::streamsize size = in.tellg();
+  std::vector<uint8_t> bytes(size > 0 ? static_cast<size_t>(size) : 0);
+  in.seekg(0);
+  if (size < 0 || !in.read(reinterpret_cast<char*>(bytes.data()), size)) {
+    return Status::Internal("error reading op-log file " + path);
+  }
   return bytes;
 }
 
