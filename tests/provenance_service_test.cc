@@ -73,7 +73,9 @@ TEST(ProvenanceServiceTest, MultiRunRegistryIsolation) {
     runs.push_back(MakeGeneratedRun(spec, 40 + 20 * seed, seed));
   }
   std::vector<std::vector<std::vector<bool>>> expected;
-  for (const ::skl::Run& r : runs) expected.push_back(testing_util::ReferenceMatrix(r));
+  for (const ::skl::Run& r : runs) {
+    expected.push_back(testing_util::ReferenceMatrix(r));
+  }
 
   auto service =
       ProvenanceService::Create(std::move(spec), SpecSchemeKind::kTcm);
@@ -357,7 +359,9 @@ TEST(ProvenanceServiceTest, AddRunsParallelPublishesInInputOrder) {
     runs.push_back(MakeGeneratedRun(spec, 30 + 25 * seed, seed));
   }
   std::vector<std::vector<std::vector<bool>>> expected;
-  for (const ::skl::Run& r : runs) expected.push_back(testing_util::ReferenceMatrix(r));
+  for (const ::skl::Run& r : runs) {
+    expected.push_back(testing_util::ReferenceMatrix(r));
+  }
 
   ProvenanceService::Options options;
   options.num_threads = 4;
@@ -563,7 +567,8 @@ TEST(ProvenanceServiceTest, ShardedRegistryAnswersMatchReference) {
         SpecSchemeKind::kChain, SpecSchemeKind::kTwoHop}) {
     const Specification spec = testing_util::MakeSpecFor(kind);
     const ::skl::Run run = MakeGeneratedRun(spec, 80, 5);
-    const std::vector<std::vector<bool>> reference = testing_util::ReferenceMatrix(run);
+    const std::vector<std::vector<bool>> reference =
+        testing_util::ReferenceMatrix(run);
     std::vector<VertexPair> pairs;
     for (VertexId u = 0; u < run.num_vertices(); u += 3) {
       for (VertexId v = 0; v < run.num_vertices(); v += 5) {
