@@ -457,15 +457,16 @@ int Serve(Specification spec, SpecSchemeKind scheme_kind,
   // --slow-query-threshold-us: requests slower than this (queue + execute)
   // land in the slow-query ring buffer; 0 keeps the log disabled.
   server_options.slow_query_threshold_us = slow_query_threshold_us;
-  // --threads sizes the connection-handler pool too; 0 keeps the server's
-  // own default (8), which is a better serving concurrency than one-per-
-  // core on small machines.
+  // --threads sizes the server's pool too (mutations, batches, snapshot
+  // and replication requests; single-key reads run on the I/O threads);
+  // 0 keeps the server's own default (8), which is a better serving
+  // concurrency than one-per-core on small machines.
   if (options.num_threads != 0) {
     server_options.num_threads = options.num_threads;
   }
-  // --num-io-threads sizes the epoll reactor (socket multiplexing); 0
-  // keeps the server's default of one I/O thread, plenty below many
-  // thousands of connections.
+  // --num-io-threads sizes the epoll reactor (socket multiplexing and
+  // single-key reads); 0 keeps the server's default of one I/O thread,
+  // plenty below many thousands of connections.
   if (num_io_threads != 0) {
     server_options.num_io_threads = num_io_threads;
   }
@@ -643,34 +644,54 @@ std::vector<std::string> SplitModuleList(const char* csv) {
 
 /// `sklctl apply-delta` argument grammar -> SpecDelta; arity/kind misuse
 /// returns no value (the caller prints Usage and exits 2, before dialing).
+/// An empty module name — an empty argument, or an empty entry in a list
+/// such as "a,,b" or "" — is refused too, with a line naming the argument.
 std::optional<SpecDelta> ParseDeltaArgs(
     const std::vector<const char*>& args) {
   if (args.empty()) return std::nullopt;
   const std::string op = args[0];
+  bool empty_name = false;
+  auto name = [&](const char* role, const char* arg) {
+    if (*arg == '\0') {
+      std::fprintf(stderr, "error: apply-delta %s: empty %s module name\n",
+                   op.c_str(), role);
+      empty_name = true;
+    }
+    return std::string(arg);
+  };
+  auto names = [&](const char* role, const char* arg) {
+    std::vector<std::string> list = SplitModuleList(arg);
+    if (std::find(list.begin(), list.end(), "") != list.end()) {
+      std::fprintf(stderr,
+                   "error: apply-delta %s: %s list \"%s\" holds an empty "
+                   "module name (\"-\" is the empty list)\n",
+                   op.c_str(), role, arg);
+      empty_name = true;
+    }
+    return list;
+  };
   SpecDelta delta;
   if (op == "add-module") {
     if (args.size() != 4) return std::nullopt;
     delta.kind = SpecDelta::Kind::kAddModule;
-    delta.module = args[1];
-    delta.from = SplitModuleList(args[2]);
-    delta.to = SplitModuleList(args[3]);
-    return delta;
-  }
-  if (op == "remove-module") {
+    delta.module = name("new", args[1]);
+    delta.from = names("from", args[2]);
+    delta.to = names("to", args[3]);
+  } else if (op == "remove-module") {
     if (args.size() != 2) return std::nullopt;
     delta.kind = SpecDelta::Kind::kRemoveModule;
-    delta.module = args[1];
-    return delta;
-  }
-  if (op == "add-edge" || op == "remove-edge") {
+    delta.module = name("removed", args[1]);
+  } else if (op == "add-edge" || op == "remove-edge") {
     if (args.size() != 3) return std::nullopt;
     delta.kind = op == "add-edge" ? SpecDelta::Kind::kAddEdge
                                   : SpecDelta::Kind::kRemoveEdge;
-    delta.edge_from = args[1];
-    delta.edge_to = args[2];
-    return delta;
+    delta.edge_from = name("source", args[1]);
+    delta.edge_to = name("target", args[2]);
+  } else {
+    return std::nullopt;
   }
-  return std::nullopt;
+  if (empty_name) return std::nullopt;
+  return delta;
 }
 
 }  // namespace

@@ -502,7 +502,7 @@ Result<bool> ProvenanceService::Reaches(RunId id, VertexId v, VertexId w,
     return Status::InvalidArgument("vertex out of range for run");
   }
   const SpecLabelingScheme& sch = SchemeFor(record, scheme());
-  counters_->reaches_queries.fetch_add(1, std::memory_order_relaxed);
+  query_counters().reaches_queries.fetch_add(1, std::memory_order_relaxed);
   return StoreReaches(record.store, v, w, sch);
 }
 
@@ -525,9 +525,9 @@ Result<std::vector<bool>> ProvenanceService::ReachesBatch(
   for (const auto& [v, w] : pairs) {
     answers.push_back(StoreReaches(handle.record().store, v, w, sch));
   }
-  counters_->batch_calls.fetch_add(1, std::memory_order_relaxed);
-  counters_->reaches_queries.fetch_add(pairs.size(),
-                                       std::memory_order_relaxed);
+  QueryCounters& counters = query_counters();
+  counters.batch_calls.fetch_add(1, std::memory_order_relaxed);
+  counters.reaches_queries.fetch_add(pairs.size(), std::memory_order_relaxed);
   return answers;
 }
 
@@ -542,7 +542,7 @@ Result<bool> ProvenanceService::DependsOn(RunId id, DataItemId x,
     return Status::InvalidArgument("unknown data item");
   }
   const SpecLabelingScheme& sch = SchemeFor(handle.record(), scheme());
-  counters_->depends_on_queries.fetch_add(1, std::memory_order_relaxed);
+  query_counters().depends_on_queries.fetch_add(1, std::memory_order_relaxed);
   return StoreDependsOn(handle.record().store, x, x_from, sch);
 }
 
@@ -566,9 +566,10 @@ Result<std::vector<bool>> ProvenanceService::DependsOnBatch(
     answers.push_back(
         *StoreDependsOn(handle.record().store, x, x_from, sch));
   }
-  counters_->batch_calls.fetch_add(1, std::memory_order_relaxed);
-  counters_->depends_on_queries.fetch_add(pairs.size(),
-                                          std::memory_order_relaxed);
+  QueryCounters& counters = query_counters();
+  counters.batch_calls.fetch_add(1, std::memory_order_relaxed);
+  counters.depends_on_queries.fetch_add(pairs.size(),
+                                        std::memory_order_relaxed);
   return answers;
 }
 
@@ -586,7 +587,8 @@ Result<bool> ProvenanceService::ModuleDependsOnData(RunId id, VertexId v,
     return Status::InvalidArgument("unknown vertex");
   }
   const SpecLabelingScheme& sch = SchemeFor(record, scheme());
-  counters_->module_data_queries.fetch_add(1, std::memory_order_relaxed);
+  query_counters().module_data_queries.fetch_add(1,
+                                                std::memory_order_relaxed);
   return StoreModuleDependsOnData(record.store, v, x, sch);
 }
 
@@ -604,7 +606,8 @@ Result<bool> ProvenanceService::DataDependsOnModule(RunId id, DataItemId x,
     return Status::InvalidArgument("unknown vertex");
   }
   const SpecLabelingScheme& sch = SchemeFor(record, scheme());
-  counters_->data_module_queries.fetch_add(1, std::memory_order_relaxed);
+  query_counters().data_module_queries.fetch_add(1,
+                                                std::memory_order_relaxed);
   return StoreDataDependsOnModule(record.store, x, v, sch);
 }
 
@@ -667,17 +670,26 @@ Result<RunStats> ProvenanceService::Stats(RunId id) const {
   return handle.record().stats;
 }
 
+ProvenanceService::QueryCounters& ProvenanceService::query_counters() const {
+  static std::atomic<size_t> next_stripe{0};
+  thread_local const size_t stripe =
+      next_stripe.fetch_add(1, std::memory_order_relaxed) % kQueryStripes;
+  return counters_->query[stripe];
+}
+
 ServiceStats ProvenanceService::service_stats() const {
   ServiceStats stats;
   stats.num_runs = registry_->size();
   const auto get = [](const std::atomic<uint64_t>& c) {
     return c.load(std::memory_order_relaxed);
   };
-  stats.reaches_queries = get(counters_->reaches_queries);
-  stats.depends_on_queries = get(counters_->depends_on_queries);
-  stats.module_data_queries = get(counters_->module_data_queries);
-  stats.data_module_queries = get(counters_->data_module_queries);
-  stats.batch_calls = get(counters_->batch_calls);
+  for (const QueryCounters& stripe : counters_->query) {
+    stats.reaches_queries += get(stripe.reaches_queries);
+    stats.depends_on_queries += get(stripe.depends_on_queries);
+    stats.module_data_queries += get(stripe.module_data_queries);
+    stats.data_module_queries += get(stripe.data_module_queries);
+    stats.batch_calls += get(stripe.batch_calls);
+  }
   stats.runs_ingested = get(counters_->runs_ingested);
   stats.runs_imported = get(counters_->runs_imported);
   stats.runs_removed = get(counters_->runs_removed);

@@ -51,6 +51,7 @@
 #ifndef SKL_CORE_PROVENANCE_SERVICE_H_
 #define SKL_CORE_PROVENANCE_SERVICE_H_
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -464,18 +465,29 @@ class ProvenanceService {
  private:
   friend class RunSession;
 
-  /// ServiceStats internals. The fields are atomic because they are
-  /// bumped from concurrent shard read-lock holders (query paths) as well
-  /// as shard writer-lock registry mutations — and, for snapshot_saves,
-  /// after the save's lock scope has ended. There is no lock that all of
-  /// them share anymore.
-  struct Counters {
+  /// The query-path ServiceStats counters, one cache line per stripe.
+  /// Every answered query bumps one of them; on a single shared line the
+  /// readers' increments serialized on it, and adding reader threads
+  /// lowered total throughput (bench_query's reader-scaling rows).
+  struct alignas(64) QueryCounters {
     std::atomic<uint64_t> reaches_queries{0};
     std::atomic<uint64_t> depends_on_queries{0};
     std::atomic<uint64_t> module_data_queries{0};
     std::atomic<uint64_t> data_module_queries{0};
     std::atomic<uint64_t> batch_calls{0};
-    std::atomic<uint64_t> runs_ingested{0};
+  };
+  /// Threads take stripes round-robin on first use, so up to this many
+  /// concurrent readers never share a line.
+  static constexpr size_t kQueryStripes = 16;
+
+  /// ServiceStats internals. The fields are atomic because they are
+  /// bumped from concurrent shard read-lock holders (query paths) as well
+  /// as shard writer-lock registry mutations — and, for snapshot_saves,
+  /// after the save's lock scope has ended. There is no lock that all of
+  /// them share anymore. service_stats() sums the query stripes.
+  struct Counters {
+    std::array<QueryCounters, kQueryStripes> query;
+    alignas(64) std::atomic<uint64_t> runs_ingested{0};
     std::atomic<uint64_t> runs_imported{0};
     std::atomic<uint64_t> runs_removed{0};
     std::atomic<uint64_t> bulk_batches{0};
@@ -563,6 +575,8 @@ class ProvenanceService {
   void RegisterServiceMetrics();
 
   std::unique_ptr<Counters> counters_;  // see Counters for the contract
+  /// The calling thread's stripe of counters_->query.
+  QueryCounters& query_counters() const;
   // The sharded, lock-striped run storage (internally synchronized);
   // behind a unique_ptr so the service stays movable while shard mutexes
   // and handed-out ReadHandles keep stable addresses.

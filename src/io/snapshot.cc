@@ -16,6 +16,7 @@
 
 #include "src/common/bit_codec.h"
 #include "src/common/crc32.h"
+#include "src/common/file_io.h"
 #include "src/core/provenance_service.h"
 #include "src/io/workflow_xml.h"
 #include "src/speclabel/scheme.h"
@@ -26,54 +27,6 @@ namespace {
 
 constexpr uint32_t kMagic = 0x534b4c53;  // "SKLS"
 constexpr uint64_t kMaxSchemeTagBytes = 256;
-
-#if defined(__unix__) || defined(__APPLE__)
-Status FsyncPath(const char* path, int flags, const std::string& what) {
-  int fd = ::open(path, flags);
-  if (fd < 0) return Status::Internal("cannot open " + what + " for sync");
-  const bool synced = ::fsync(fd) == 0;
-  ::close(fd);
-  if (!synced) return Status::Internal("cannot sync " + what);
-  return Status::OK();
-}
-#endif
-
-/// Flushes a written file to stable storage where the platform supports it.
-Status SyncFile(const std::string& file) {
-#if defined(__unix__) || defined(__APPLE__)
-  return FsyncPath(file.c_str(), O_RDONLY, "snapshot file " + file);
-#else
-  (void)file;
-  return Status::OK();
-#endif
-}
-
-/// Flushes a directory's entries; a rename is only durable once this runs
-/// *after* it.
-Status SyncDir(const std::string& dir) {
-#if defined(__unix__) || defined(__APPLE__)
-  const std::string d = dir.empty() ? "." : dir;
-  return FsyncPath(d.c_str(), O_RDONLY | O_DIRECTORY,
-                   "snapshot directory " + d);
-#else
-  (void)dir;
-  return Status::OK();
-#endif
-}
-
-Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
-  // One bulk read: copying the stream a byte at a time cost several times
-  // the parse itself, and its speed moved with the loop's code layout.
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Status::NotFound("cannot open snapshot file " + path);
-  const std::streamsize size = in.tellg();
-  std::vector<uint8_t> bytes(size > 0 ? static_cast<size_t>(size) : 0);
-  in.seekg(0);
-  if (size < 0 || !in.read(reinterpret_cast<char*>(bytes.data()), size)) {
-    return Status::Internal("error reading snapshot file " + path);
-  }
-  return bytes;
-}
 
 /// Encoded length of WriteVarint's LEB128 (7 bits per byte).
 size_t VarintLen(uint64_t value) {
@@ -208,7 +161,7 @@ Status SnapshotWriter::WriteFile(const std::string& path) && {
   }
   // The tmp bytes must be on stable storage before the rename publishes
   // them, or a power failure could replace a good snapshot with a torn one.
-  Status synced = SyncFile(tmp);
+  Status synced = SyncFile(tmp, "snapshot");
   if (!synced.ok()) {
     std::error_code cleanup_ec;
     std::filesystem::remove(tmp, cleanup_ec);
@@ -225,7 +178,8 @@ Status SnapshotWriter::WriteFile(const std::string& path) && {
   }
   // ... and the rename itself is only durable once the directory entry is
   // flushed; only then may the caller be told the checkpoint committed.
-  return SyncDir(std::filesystem::path(path).parent_path().string());
+  return SyncDir(std::filesystem::path(path).parent_path().string(),
+                 "snapshot");
 }
 
 Result<SnapshotReader> SnapshotReader::ParseBacking(
@@ -295,7 +249,8 @@ Result<SnapshotReader> SnapshotReader::Parse(std::vector<uint8_t> bytes) {
 }
 
 Result<SnapshotReader> SnapshotReader::ReadFile(const std::string& path) {
-  SKL_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(path));
+  SKL_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
+                       ReadFileBytes(path, "snapshot"));
   return Parse(std::move(bytes));
 }
 

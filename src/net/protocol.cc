@@ -190,6 +190,53 @@ Status PayloadReader::Booleans(size_t count, std::vector<bool>* out) {
   return Status::OK();
 }
 
+Status PayloadReader::IdPairs(uint64_t count, const char* what,
+                              std::vector<std::pair<uint32_t, uint32_t>>* out) {
+  reader_.AlignToByte();
+  const size_t start = reader_.bit_position() / 8;
+  size_t pos = start;
+  // BitReader::ReadVarint's decoding, inlined: this runs once per id of a
+  // batch, and a Status per id cost more than the label compare answering
+  // it. The Status is built once, for the first failing id.
+  enum class Fail { kNone, kExhausted, kTooLong, kTooWide };
+  auto next_id = [&](uint32_t* id) -> Fail {
+    uint64_t value = 0;
+    for (int shift = 0;; shift += 7) {
+      if (shift > 63) return Fail::kTooLong;
+      if (pos >= size_bytes_) return Fail::kExhausted;
+      const uint64_t byte = data_[pos++];
+      value |= (byte & 0x7f) << shift;
+      if ((byte & 0x80) == 0) break;
+    }
+    if (value > UINT32_MAX) return Fail::kTooWide;
+    *id = static_cast<uint32_t>(value);
+    return Fail::kNone;
+  };
+  // Every pair costs at least two bytes.
+  out->reserve(std::min<uint64_t>(count, (size_bytes_ - start) / 2));
+  Fail fail = Fail::kNone;
+  for (uint64_t i = 0; i < count; ++i) {
+    uint32_t first = 0;
+    uint32_t second = 0;
+    if ((fail = next_id(&first)) != Fail::kNone) break;
+    if ((fail = next_id(&second)) != Fail::kNone) break;
+    out->emplace_back(first, second);
+  }
+  switch (fail) {
+    case Fail::kNone:
+      break;
+    case Fail::kExhausted:
+      return Status::ParseError("bit stream exhausted");
+    case Fail::kTooLong:
+      return Status::ParseError("varint too long");
+    case Fail::kTooWide:
+      return Status::InvalidArgument(std::string(what) +
+                                     " does not fit 32 bits");
+  }
+  std::span<const uint8_t> consumed;
+  return reader_.ReadBytes(pos - start, &consumed);
+}
+
 Result<std::span<const uint8_t>> PayloadReader::Bytes() {
   uint64_t length = 0;
   SKL_RETURN_NOT_OK(reader_.ReadVarint(&length));

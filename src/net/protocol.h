@@ -34,6 +34,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/bit_codec.h"
@@ -173,7 +174,9 @@ class PayloadWriter {
 class PayloadReader {
  public:
   explicit PayloadReader(std::span<const uint8_t> payload)
-      : reader_(payload.data(), payload.size()), size_bytes_(payload.size()) {}
+      : reader_(payload.data(), payload.size()),
+        data_(payload.data()),
+        size_bytes_(payload.size()) {}
 
   Result<uint64_t> U64();
   Result<bool> Boolean();
@@ -181,6 +184,14 @@ class PayloadReader {
   /// other than 0/1 fails exactly as Boolean() would, and so does a payload
   /// holding fewer than `count` bytes.
   Status Booleans(size_t count, std::vector<bool>* out);
+  /// `count` pairs of varint ids that must each fit 32 bits (the batch
+  /// request bodies), read in one pass with one Status for the batch. The
+  /// first bad id fails it exactly as reading the ids one at a time would:
+  /// ParseError "bit stream exhausted" / "varint too long", or
+  /// InvalidArgument "<what> does not fit 32 bits". The reservation is
+  /// bounded by the bytes left, whatever `count` claims.
+  Status IdPairs(uint64_t count, const char* what,
+                 std::vector<std::pair<uint32_t, uint32_t>>* out);
   /// Length-prefixed blob; the span aliases the payload buffer.
   Result<std::span<const uint8_t>> Bytes();
   Result<std::string> Str();
@@ -197,6 +208,7 @@ class PayloadReader {
 
  private:
   BitReader reader_;
+  const uint8_t* data_;
   size_t size_bytes_;
 };
 

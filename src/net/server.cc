@@ -65,6 +65,24 @@ uint64_t UsBetween(Clock::time_point from, Clock::time_point to) {
   return us < 0 ? 0 : static_cast<uint64_t>(us);
 }
 
+/// Opcodes answered on the connection's own I/O thread: single-key reads
+/// whose execute is a label compare, far below the cost of handing the
+/// frame to the pool (a task allocation, a futex wake and a context
+/// switch). Everything else — mutations, batches, snapshot and replication
+/// traffic, stats, kShutdown — runs on the ThreadPool.
+bool RunsOnIoThread(MsgType type) {
+  switch (type) {
+    case MsgType::kPing:
+    case MsgType::kReaches:
+    case MsgType::kDependsOn:
+    case MsgType::kModuleDependsOnData:
+    case MsgType::kDataDependsOnModule:
+      return true;
+    default:
+      return false;
+  }
+}
+
 /// Best-effort run id for the slow-query log: the opcodes that name a run
 /// carry it as the first payload varint. 0 for run-less opcodes or when
 /// the payload is too malformed to read one (the dispatch error already
@@ -538,6 +556,7 @@ void ProvenanceServer::ReadFrom(IoThread& io, const std::shared_ptr<Conn>& c) {
 }
 
 void ProvenanceServer::MaybeDispatch(const std::shared_ptr<Conn>& c) {
+  bool inline_dispatch;
   {
     std::lock_guard lock(c->mu);
     if (c->closed || c->task_active || c->paused) return;
@@ -545,6 +564,16 @@ void ProvenanceServer::MaybeDispatch(const std::shared_ptr<Conn>& c) {
                       (c->terminal.has_value() && !c->terminal_encoded);
     if (!work) return;
     c->task_active = true;
+    // Only this (owner) thread appends to `pending`, so the queue cannot
+    // gain a pool-bound frame while the loop below drains it.
+    inline_dispatch = std::all_of(c->pending.begin(), c->pending.end(),
+                                  [](const Conn::PendingFrame& p) {
+                                    return RunsOnIoThread(p.frame.type);
+                                  });
+  }
+  if (inline_dispatch) {
+    DispatchLoop(c);
+    return;
   }
   try {
     pool_.Submit([this, c] { DispatchLoop(c); });
@@ -620,7 +649,6 @@ void ProvenanceServer::DispatchLoop(std::shared_ptr<Conn> c) {
 
 void ProvenanceServer::FlushAndSettle(const std::shared_ptr<Conn>& c) {
   bool begin_shutdown = false;
-  bool redispatch = false;
   bool nudge = false;
   {
     std::lock_guard lock(c->mu);
@@ -661,8 +689,7 @@ void ProvenanceServer::FlushAndSettle(const std::shared_ptr<Conn>& c) {
         begin_shutdown = true;  // the OK reply is out first
       }
       if (c->paused && backlog <= options_.max_write_buffer_bytes / 2) {
-        c->paused = false;  // peer drained: resume dispatch and reads
-        redispatch = true;
+        c->paused = false;  // peer drained: the owner resumes dispatch+reads
         nudge = true;
       }
       if (c->want_write && !c->epollout_armed) nudge = true;
@@ -674,7 +701,6 @@ void ProvenanceServer::FlushAndSettle(const std::shared_ptr<Conn>& c) {
     }
   }
   if (begin_shutdown) BeginShutdown();
-  if (redispatch) MaybeDispatch(c);
   if (nudge) NudgeOwner(c);
 }
 
@@ -997,14 +1023,7 @@ Result<std::vector<uint8_t>> ProvenanceServer::Dispatch(
       SKL_ASSIGN_OR_RETURN(uint64_t run, reader.U64());
       SKL_ASSIGN_OR_RETURN(uint64_t count, reader.U64());
       std::vector<VertexPair> pairs;
-      // Every pair costs at least two payload bytes, so the bytes left
-      // bound the reservation whatever the count field claims.
-      pairs.reserve(std::min<uint64_t>(count, reader.remaining_bytes() / 2));
-      for (uint64_t i = 0; i < count; ++i) {  // reads bound the allocation
-        SKL_ASSIGN_OR_RETURN(VertexId v, ReadU32(reader, "vertex id"));
-        SKL_ASSIGN_OR_RETURN(VertexId w, ReadU32(reader, "vertex id"));
-        pairs.push_back({v, w});
-      }
+      SKL_RETURN_NOT_OK(reader.IdPairs(count, "vertex id", &pairs));
       SKL_RETURN_NOT_OK(end_read(reader));
       if (bounce) break;
       SKL_ASSIGN_OR_RETURN(
@@ -1029,13 +1048,8 @@ Result<std::vector<uint8_t>> ProvenanceServer::Dispatch(
     case MsgType::kDependsOnBatch: {
       SKL_ASSIGN_OR_RETURN(uint64_t run, reader.U64());
       SKL_ASSIGN_OR_RETURN(uint64_t count, reader.U64());
-      std::vector<ItemPair> pairs;  // reserved as in kReachesBatch
-      pairs.reserve(std::min<uint64_t>(count, reader.remaining_bytes() / 2));
-      for (uint64_t i = 0; i < count; ++i) {
-        SKL_ASSIGN_OR_RETURN(DataItemId x, ReadU32(reader, "item id"));
-        SKL_ASSIGN_OR_RETURN(DataItemId x_from, ReadU32(reader, "item id"));
-        pairs.push_back({x, x_from});
-      }
+      std::vector<ItemPair> pairs;
+      SKL_RETURN_NOT_OK(reader.IdPairs(count, "item id", &pairs));
       SKL_RETURN_NOT_OK(end_read(reader));
       if (bounce) break;
       SKL_ASSIGN_OR_RETURN(

@@ -12,14 +12,23 @@
 // hundred bytes of state, never a thread, so thousands of mostly-idle
 // clients are cheap. Each accepted connection is owned by exactly one I/O
 // thread (round-robin at accept); that thread does every socket read and
-// all epoll bookkeeping for it. Decoded request frames are handed to a
-// query-execution ThreadPool (Options::num_threads workers): at most one
-// dispatch task runs per connection at a time, draining its frame queue in
-// FIFO order — which is what keeps responses strictly in request order
-// while different connections' queries run concurrently. Responses are
-// appended to a per-connection write buffer and flushed non-blockingly by
-// whoever holds the buffer (the pool task on the fast path, the owning I/O
-// thread via an eventfd nudge + EPOLLOUT when the socket is full).
+// all epoll bookkeeping for it. When every decoded frame queued on a
+// connection is a single-key read (Ping, Reaches, DependsOn,
+// ModuleDependsOnData, DataDependsOnModule), the owning I/O thread executes
+// them itself: the answer is a label compare, cheaper than a pool handoff.
+// Any other frame — mutation, batch, snapshot, replication, stats,
+// Shutdown — sends the connection's queue to the ThreadPool
+// (Options::num_threads workers). Either way at most one dispatcher runs
+// per connection at a time, draining its frame queue in FIFO order — which
+// is what keeps responses strictly in request order while different
+// connections' queries run concurrently. Responses are appended to a
+// per-connection write buffer and flushed non-blockingly by whoever holds
+// the buffer (the dispatcher on the fast path, the owning I/O thread via an
+// eventfd nudge + EPOLLOUT when the socket is full).
+//
+// Known stall: a kLoadSnapshot (or ReplaceService) swap holds the service
+// lock exclusively, so a read running on an I/O thread waits the swap out
+// there — and with it every connection that thread owns.
 //
 // Flow control: the per-connection write buffer is bounded
 // (Options::max_write_buffer_bytes). A client that stops draining its
@@ -81,14 +90,16 @@ struct ProvenanceServerOptions {
   /// Listen address. Loopback by default: serving beyond the host is a
   /// deployment decision (see docs/NETWORK.md) — pass "0.0.0.0" explicitly.
   std::string bind_address = "127.0.0.1";
-  /// Query-execution pool size: how many requests (across all connections)
-  /// can be answered concurrently. 0 = one per hardware thread. Workers
-  /// are no longer pinned to connections — a worker serves one request
-  /// batch and moves on — so this bounds CPU parallelism, not clients.
+  /// Pool size for every request but the single-key reads (which run on
+  /// the I/O threads): mutations, batches, snapshot save/load, replication
+  /// and stats. 0 = one per hardware thread. Workers are not pinned to
+  /// connections — a worker serves one connection's queue and moves on —
+  /// so this bounds CPU parallelism, not clients.
   unsigned num_threads = 8;
-  /// Reactor (epoll) I/O threads multiplexing the sockets. 0 = 1. More
-  /// than 1 only pays off when socket I/O itself saturates a core;
-  /// connections are distributed round-robin at accept time.
+  /// Reactor (epoll) I/O threads multiplexing the sockets and answering
+  /// single-key reads. 0 = 1. More than 1 only pays off when socket I/O
+  /// and those reads saturate a core; connections are distributed
+  /// round-robin at accept time.
   unsigned num_io_threads = 1;
   /// Per-frame size ceiling, bounding what one request can make the server
   /// buffer (AddRun XML and ImportRun blobs included).
@@ -259,15 +270,18 @@ class ProvenanceServer {
   /// Acts on a cross-thread nudge: arm EPOLLOUT, resume a suspended read,
   /// re-dispatch, or close. Owner I/O thread only.
   void ServiceNudge(IoThread& io, const std::shared_ptr<Conn>& conn);
-  /// Submits a dispatch pool task if the connection has work and none is
-  /// running. Any thread.
+  /// Starts a dispatcher if the connection has work and none is running:
+  /// runs DispatchLoop right here when every queued frame is a single-key
+  /// read (RunsOnIoThread in server.cc), else submits it to the pool.
+  /// Owner I/O thread only.
   void MaybeDispatch(const std::shared_ptr<Conn>& conn);
-  /// Pool task: drains the connection's frame queue in order, appending
-  /// responses to the write buffer, then flushes.
+  /// Drains the connection's frame queue in order, appending responses to
+  /// the write buffer, then flushes. Runs on the owner I/O thread or as a
+  /// pool task; `task_active` admits one at a time.
   void DispatchLoop(std::shared_ptr<Conn> conn);
   /// Flushes the write buffer (non-blocking) and settles the aftermath:
-  /// un-pausing, EPOLLOUT arming, shutdown-after-flush, owner nudging.
-  /// Safe from pool and I/O threads.
+  /// un-pausing (the owner re-dispatches on the nudge), EPOLLOUT arming,
+  /// shutdown-after-flush, owner nudging. Safe from pool and I/O threads.
   void FlushAndSettle(const std::shared_ptr<Conn>& conn);
   /// Closes the connection if it has nothing left to do (or `force`).
   /// Owner I/O thread only.

@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 
 #if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
 #include <unistd.h>
 #endif
 
 #include "src/common/bit_codec.h"
 #include "src/common/crc32.h"
+#include "src/common/file_io.h"
 
 namespace skl {
 
@@ -21,28 +20,6 @@ constexpr uint32_t kMagic = 0x534b4c4f;  // "SKLO"
 
 /// Bytes of the len + CRC prefix in front of every entry payload.
 constexpr size_t kEntryFrameBytes = 8;
-
-#if defined(__unix__) || defined(__APPLE__)
-Status FsyncPath(const char* path, int flags, const std::string& what) {
-  int fd = ::open(path, flags);
-  if (fd < 0) return Status::Internal("cannot open " + what + " for sync");
-  const bool synced = ::fsync(fd) == 0;
-  ::close(fd);
-  if (!synced) return Status::Internal("cannot sync " + what);
-  return Status::OK();
-}
-#endif
-
-Status SyncDir(const std::string& dir) {
-#if defined(__unix__) || defined(__APPLE__)
-  const std::string d = dir.empty() ? "." : dir;
-  return FsyncPath(d.c_str(), O_RDONLY | O_DIRECTORY,
-                   "op-log directory " + d);
-#else
-  (void)dir;
-  return Status::OK();
-#endif
-}
 
 /// Flushes an open log file's written bytes to stable storage.
 Status SyncOpenFile(std::FILE* file, const std::string& path) {
@@ -55,19 +32,6 @@ Status SyncOpenFile(std::FILE* file, const std::string& path) {
   (void)path;
 #endif
   return Status::OK();
-}
-
-Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
-  // One bulk read, for the reason given in src/io/snapshot.cc.
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Status::NotFound("cannot open op-log file " + path);
-  const std::streamsize size = in.tellg();
-  std::vector<uint8_t> bytes(size > 0 ? static_cast<size_t>(size) : 0);
-  in.seekg(0);
-  if (size < 0 || !in.read(reinterpret_cast<char*>(bytes.data()), size)) {
-    return Status::Internal("error reading op-log file " + path);
-  }
-  return bytes;
 }
 
 std::span<const uint8_t> StrSpan(const std::string& s) {
@@ -292,7 +256,8 @@ OpLog::~OpLog() {
 }
 
 Result<OpLogReplay> OpLog::ReplayFile(const std::string& path) {
-  SKL_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, ReadFileBytes(path));
+  SKL_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
+                       ReadFileBytes(path, "op-log"));
   BitReader reader(bytes);
 
   uint64_t magic = 0;
@@ -466,7 +431,8 @@ Result<std::unique_ptr<OpLog>> OpLog::Open(const std::string& path,
       // The file's directory entry must also be durable, or a crash could
       // forget the log existed while clients hold acks recorded in it.
       SKL_RETURN_NOT_OK(
-          SyncDir(std::filesystem::path(path).parent_path().string()));
+          SyncDir(std::filesystem::path(path).parent_path().string(),
+                  "op-log"));
     }
   }
   return log;

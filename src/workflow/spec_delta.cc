@@ -40,6 +40,9 @@ Status ReadString(BitReader& reader, const char* what, std::string* out) {
   return Status::OK();
 }
 
+/// Reads a counted list of names; the errors name the list (`what`) and,
+/// for a bad element, say it is a name in it — an empty name must not
+/// read as an empty list.
 Status ReadStringList(BitReader& reader, const char* what,
                       std::vector<std::string>* out) {
   uint64_t count = 0;
@@ -54,8 +57,9 @@ Status ReadStringList(BitReader& reader, const char* what,
                               std::to_string(kMaxNeighborCount));
   }
   out->resize(count);
+  const std::string element = std::string(what) + " name";
   for (uint64_t i = 0; i < count; ++i) {
-    SKL_RETURN_NOT_OK(ReadString(reader, what, &(*out)[i]));
+    SKL_RETURN_NOT_OK(ReadString(reader, element.c_str(), &(*out)[i]));
   }
   return Status::OK();
 }
@@ -161,8 +165,9 @@ Result<SpecDelta> DeserializeSpecDelta(std::span<const uint8_t> bytes) {
       break;
     case SpecDelta::Kind::kAddEdge:
     case SpecDelta::Kind::kRemoveEdge:
-      SKL_RETURN_NOT_OK(ReadString(reader, "edge source", &delta.edge_from));
-      SKL_RETURN_NOT_OK(ReadString(reader, "edge target", &delta.edge_to));
+      SKL_RETURN_NOT_OK(
+          ReadString(reader, "edge source name", &delta.edge_from));
+      SKL_RETURN_NOT_OK(ReadString(reader, "edge target name", &delta.edge_to));
       break;
   }
   if (reader.bit_position() != bytes.size() * 8) {

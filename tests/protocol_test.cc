@@ -212,6 +212,98 @@ TEST(ProtocolTest, PayloadReaderRejectsTruncationAndTrailingBytes) {
   }
 }
 
+TEST(ProtocolTest, IdPairsReadsABatchAndFailsLikeOneIdAtATime) {
+  constexpr uint64_t kPairs = 9;
+  constexpr uint64_t kTooWide = uint64_t{1} << 32;
+  auto encode = [&](uint64_t wide_at) {  // id index holding 2^32, or none
+    PayloadWriter w;
+    for (uint64_t i = 0; i < 2 * kPairs; ++i) {
+      w.U64(i == wide_at ? kTooWide : i * 100000);  // 1- to 3-byte varints
+    }
+    w.U64(77);  // the field after the pairs
+    return std::move(w).Finish();
+  };
+
+  const std::vector<uint8_t> good = encode(/*wide_at=*/2 * kPairs);
+  {
+    PayloadReader reader(good);
+    std::vector<std::pair<uint32_t, uint32_t>> pairs;
+    ASSERT_TRUE(reader.IdPairs(kPairs, "vertex id", &pairs).ok());
+    ASSERT_EQ(pairs.size(), kPairs);
+    for (uint32_t i = 0; i < kPairs; ++i) {
+      EXPECT_EQ(pairs[i].first, 2 * i * 100000);
+      EXPECT_EQ(pairs[i].second, (2 * i + 1) * 100000);
+    }
+    auto next = reader.U64();  // the reader stands right after the pairs
+    ASSERT_TRUE(next.ok());
+    EXPECT_EQ(*next, 77u);
+    EXPECT_TRUE(reader.ExpectEnd().ok());
+  }
+  {
+    // UINT32_MAX itself fits.
+    PayloadWriter w;
+    w.U64(UINT32_MAX);
+    w.U64(0);
+    const std::vector<uint8_t> payload = std::move(w).Finish();
+    PayloadReader reader(payload);
+    std::vector<std::pair<uint32_t, uint32_t>> pairs;
+    ASSERT_TRUE(reader.IdPairs(1, "item id", &pairs).ok());
+    EXPECT_EQ(pairs[0].first, UINT32_MAX);
+  }
+  // An over-wide id at the first, a middle and the last pair, on either
+  // side of the pair, names the caller's id kind.
+  for (uint64_t pair : {uint64_t{0}, kPairs / 2, kPairs - 1}) {
+    for (uint64_t side : {0, 1}) {
+      const std::vector<uint8_t> payload = encode(2 * pair + side);
+      for (const char* what : {"vertex id", "item id"}) {
+        PayloadReader reader(payload);
+        std::vector<std::pair<uint32_t, uint32_t>> pairs;
+        const Status status = reader.IdPairs(kPairs, what, &pairs);
+        EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+            << "pair " << pair << " side " << side;
+        EXPECT_EQ(status.message(),
+                  std::string(what) + " does not fit 32 bits");
+      }
+    }
+  }
+  // Truncation anywhere in the pairs, including mid-varint.
+  const size_t pairs_bytes = good.size() - 1;  // 77 is one byte
+  for (size_t cut = 0; cut < pairs_bytes; ++cut) {
+    PayloadReader reader(std::span<const uint8_t>(good.data(), cut));
+    std::vector<std::pair<uint32_t, uint32_t>> pairs;
+    const Status status = reader.IdPairs(kPairs, "vertex id", &pairs);
+    EXPECT_EQ(status.code(), StatusCode::kParseError) << "cut " << cut;
+    EXPECT_EQ(status.message(), "bit stream exhausted") << "cut " << cut;
+  }
+  {
+    // An over-wide id before a truncation reports the width, as a
+    // one-at-a-time read would reach it first.
+    const std::vector<uint8_t> wide = encode(1);
+    PayloadReader reader(std::span<const uint8_t>(wide.data(), 8));
+    std::vector<std::pair<uint32_t, uint32_t>> pairs;
+    EXPECT_EQ(reader.IdPairs(kPairs, "vertex id", &pairs).code(),
+              StatusCode::kInvalidArgument);
+  }
+  {
+    // Eleven continuation bytes: longer than any 64-bit varint.
+    const std::vector<uint8_t> endless(11, 0x80);
+    PayloadReader reader(endless);
+    std::vector<std::pair<uint32_t, uint32_t>> pairs;
+    const Status status = reader.IdPairs(1, "vertex id", &pairs);
+    EXPECT_EQ(status.code(), StatusCode::kParseError);
+    EXPECT_EQ(status.message(), "varint too long");
+  }
+  {
+    // A count far beyond the payload reserves by the bytes present and
+    // fails on the first missing id.
+    PayloadReader reader(good);
+    std::vector<std::pair<uint32_t, uint32_t>> pairs;
+    EXPECT_EQ(reader.IdPairs(uint64_t{1} << 60, "vertex id", &pairs).message(),
+              "bit stream exhausted");
+    EXPECT_LE(pairs.capacity(), good.size());
+  }
+}
+
 TEST(ProtocolTest, ErrorPayloadRoundTripsEveryCode) {
   uint64_t trace_id = 0;
   for (StatusCode code :

@@ -615,6 +615,37 @@ TEST(SpecDeltaEncodingTest, ByteExhaustiveTruncationFuzz) {
   }
 }
 
+TEST(SpecDeltaEncodingTest, EmptyNameErrorsSayNameNotList) {
+  // What `sklctl apply-delta add-module audit h ""` used to send: a list
+  // holding one empty name. The error must call it a name, not a length-0
+  // list.
+  SpecDelta delta;
+  delta.kind = SpecDelta::Kind::kAddModule;
+  delta.module = "audit";
+  delta.from = {"h"};
+  delta.to = {""};
+  auto r = DeserializeSpecDelta(SerializeSpecDelta(delta));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(r.status().message(),
+            "spec delta: to list name length 0 is outside [1, 4096]");
+
+  delta.from = {"a", ""};
+  delta.to = {"h"};
+  r = DeserializeSpecDelta(SerializeSpecDelta(delta));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().message(),
+            "spec delta: from list name length 0 is outside [1, 4096]");
+
+  SpecDelta edge;
+  edge.kind = SpecDelta::Kind::kAddEdge;
+  edge.edge_from = "a";
+  r = DeserializeSpecDelta(SerializeSpecDelta(edge));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().message(),
+            "spec delta: edge target name length 0 is outside [1, 4096]");
+}
+
 // --------------------------------------------- replica epoch convergence --
 
 /// A replica fed nothing but op-log entries — including kSpecDelta — must
